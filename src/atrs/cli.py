@@ -2,7 +2,8 @@
 
 Subcommands: uncurry, rewrite, dh, dc, check-tmi, search-tmi, verify.
 Exit codes: 0 success or property holds, 1 property refuted or check
-failed, 2 resources exhausted or result undecided, 3 input error.  All
+failed, 2 resources exhausted or result undecided, 3 input error, 4
+internal error (a bug in atrs, never a verdict).  All
 output is deterministically ordered; --json switches to a JSON report
 of the shape {"command", "status", "data"}.
 """
@@ -420,7 +421,11 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--max-coeff", type=int, required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument(
+        "--budget", type=int, required=True,
+        help="most entry choices to try (one per matrix or vector entry value,"
+        " in a fixed order); the first certificate in that order is printed",
+    )
 
     p = command("verify", _cmd_verify, help="run a property oracle")
     p.add_argument("file")
@@ -461,6 +466,14 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        # exit 1 would read as "refuted"; a failure of atrs itself is no
+        # verdict.  traceback is loaded only here, off the normal start-up path
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,11 +12,10 @@ Arithmetic is exact: plain Python integers, no overflow, no rounding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .terms import Fun, Rule, Symbol, Term, Trs, Var
+from .terms import Rule, Symbol, Term, Trs, Var, term_symbols
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -31,10 +30,13 @@ class MissingSymbolError(InterpretationError):
 
 
 class SearchBudgetExhausted(RuntimeError):
-    """The certificate search hit its candidate budget before finishing."""
+    """The certificate search tried more entry choices than its budget."""
 
     def __init__(self, attempts: int):
-        super().__init__(f"search budget exhausted after {attempts} candidates")
+        super().__init__(
+            f"search budget exhausted after {attempts} entry choices"
+            " (matrix or vector entry values tried, in candidate order)"
+        )
         self.attempts = attempts
 
 
@@ -145,6 +147,11 @@ def _linearize(entries: Mapping[Symbol, SymbolInterp], dim: int, t: Term) -> Lin
     coeffs: dict[str, Matrix] = {}
     const = vec
     for m, arg in zip(mats, t.args):
+        if isinstance(arg, Var):
+            # a variable contributes m times the identity and no constant
+            name = arg.name
+            coeffs[name] = mat_add(coeffs[name], m) if name in coeffs else m
+            continue
         sub = _linearize(entries, dim, arg)
         const = vec_add(const, mat_vec(m, sub.const))
         for name, c in sub.coeffs.items():
@@ -300,66 +307,11 @@ def check_tmi(interp: MatrixInterp, trs: Trs) -> TmiVerdict:
     return TmiVerdict(ok=True, certificate=cert, reports=reports)
 
 
-def _candidate_matrices(dim: int, bound: int) -> list[Matrix]:
-    """All monotone upper triangular matrices with entries up to bound,
-    in a fixed order with the all-zero-off-diagonal candidates first."""
-    ranges = []
-    for r in range(dim):
-        for c in range(dim):
-            if c < r:
-                ranges.append((0,))
-            elif c == r:
-                # monotonicity forces the top-left entry to 1, triangularity
-                # caps the other diagonal entries at 1
-                ranges.append((1,) if r == 0 else (0, 1))
-            else:
-                ranges.append(tuple(range(bound + 1)))
-    out = []
-    for flat in itertools.product(*ranges):
-        out.append(tuple(flat[r * dim : (r + 1) * dim] for r in range(dim)))
-    return out
-
-
-def _candidate_vectors(dim: int, bound: int) -> list[Vector]:
-    return [v for v in itertools.product(range(bound + 1), repeat=dim)]
-
-
-def search_tmi(
-    trs: Trs, dim: int, coeff_bound: int, budget: int
-) -> MatrixInterp | None:
-    """Exhaustive search for an interpretation certifying trs.
-
-    Candidates are monotone and triangular by construction, with all entries
-    bounded by coeff_bound; only strict orientation is tested.  Symbols are
-    assigned in an order that makes each rule checkable as early as possible,
-    and each rule is checked as soon as all its symbols are assigned.  Returns
-    the first certificate in candidate order, or None once the whole space is
-    refuted.  Raises SearchBudgetExhausted when more than budget candidates
-    would be tried.
-    """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    if coeff_bound < 1:
-        raise ValueError("coefficient bound must be at least 1")
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    mats = _candidate_matrices(dim, coeff_bound)
-    vecs = _candidate_vectors(dim, coeff_bound)
-
-    rule_syms = []
-    for rule in trs.rules:
-        syms: set[Symbol] = set()
-        for t in (rule.lhs, rule.rhs):
-            stack = [t]
-            while stack:
-                s = stack.pop()
-                if isinstance(s, Fun):
-                    syms.add(s.symbol)
-                    stack.extend(s.args)
-        rule_syms.append(syms)
-
-    # schedule: repeatedly complete the rule missing the fewest symbols, its
-    # cheapest symbols first, so the search prunes as high up as possible
+def _search_schedule(trs: Trs) -> list[Symbol]:
+    """Symbols in search order: repeatedly complete the rule missing the
+    fewest symbols, its cheapest symbols first, so that rules become exact
+    as early as possible; symbols outside the rules come last."""
+    rule_syms = [term_symbols(r.lhs) | term_symbols(r.rhs) for r in trs.rules]
     symbols: list[Symbol] = []
     assigned: set[Symbol] = set()
     unready = list(range(len(trs.rules)))
@@ -371,51 +323,84 @@ def search_tmi(
         for sym in sorted(rule_syms[pick] - assigned, key=lambda s: (s.arity, s.name)):
             symbols.append(sym)
             assigned.add(sym)
-    for sym in sorted(trs.signature - assigned):
-        symbols.append(sym)
+    symbols.extend(sorted(trs.signature - assigned))
+    return symbols
 
-    # ready[k]: rules checkable once symbols[0..k] are assigned, and not sooner
-    ready: list[list[int]] = [[] for _ in symbols]
-    assigned = set()
-    for k, sym in enumerate(symbols):
-        assigned.add(sym)
-        for i, syms in enumerate(rule_syms):
-            if sym in syms and syms <= assigned:
-                ready[k].append(i)
 
-    entries: dict[Symbol, SymbolInterp] = {}
-    attempts = [0]
+def search_tmi(
+    trs: Trs, dim: int, coeff_bound: int, budget: int
+) -> MatrixInterp | None:
+    """Exhaustive search for an interpretation certifying trs.
 
-    def decode(sym: Symbol, j: int) -> SymbolInterp:
-        j, v = divmod(j, len(vecs))
-        picked = []
-        for _ in range(sym.arity):
-            j, m = divmod(j, len(mats))
-            picked.append(mats[m])
-        return tuple(picked), vecs[v]
+    Candidates are monotone and triangular by construction, with all entries
+    bounded by coeff_bound: below the diagonal 0, the top-left entry 1, the
+    other diagonal entries 0 or 1.  The search picks one free matrix or
+    vector entry at a time, in a fixed order, trying values in increasing
+    order.  Symbols come in an order that makes rules exact early; within a
+    symbol the last argument's matrix comes first, then the earlier
+    arguments' matrices, then the constant vector; within a matrix or vector
+    the entries come row by row.  After each choice every rule that uses the
+    symbol is tested with the lhs at the largest and the rhs at the smallest
+    value any completion can give (entries are naturals, so both sides grow
+    with every entry), and the branch is cut as soon as one fails.
 
-    def assign(k: int) -> MatrixInterp | None:
-        if k == len(symbols):
-            return MatrixInterp(dim, entries)
-        sym = symbols[k]
-        count = len(vecs) * len(mats) ** sym.arity
-        for j in range(count):
-            attempts[0] += 1
-            if attempts[0] > budget:
-                raise SearchBudgetExhausted(attempts[0])
-            entries[sym] = decode(sym, j)
-            if all(
-                orientation_ok(trs.rules[i]) for i in ready[k]
-            ):
-                found = assign(k + 1)
-                if found is not None:
-                    return found
-        del entries[sym]
-        return None
+    The budget counts entry choices: each value tried for one entry, in this
+    fixed order, is one choice.  Returns the first certificate in candidate
+    order, re-checked by check_tmi, or None once the whole space is refuted.
+    Raises SearchBudgetExhausted when more than budget entry choices would be
+    tried, and RuntimeError if a found interpretation fails its check.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    if coeff_bound < 1:
+        raise ValueError("coefficient bound must be at least 1")
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    symbols = _search_schedule(trs)
+    touching: dict[Symbol, list[Rule]] = {sym: [] for sym in symbols}
+    for rule in trs.rules:
+        for sym in term_symbols(rule.lhs) | term_symbols(rule.rhs):
+            touching[sym].append(rule)
 
-    def orientation_ok(rule: Rule) -> bool:
-        left = _linearize(entries, dim, rule.lhs)
-        right = _linearize(entries, dim, rule.rhs)
+    # each symbol's entries as one flat list: its matrices row by row, in
+    # argument order, then its vector; low and high hold every open entry
+    # at its smallest and its largest value, and agree on assigned ones
+    size = dim * dim
+    mat_low = [1] + [0] * (size - 1)
+    mat_high = [
+        1 if r == c else coeff_bound if c > r else 0
+        for r in range(dim)
+        for c in range(dim)
+    ]
+    low: dict[Symbol, list[int]] = {}
+    high: dict[Symbol, list[int]] = {}
+    # (symbol, offset into its flat list, largest value) per open entry,
+    # in branching order
+    slots: list[tuple[Symbol, int, int]] = []
+    for sym in symbols:
+        low[sym] = mat_low * sym.arity + [0] * dim
+        high[sym] = mat_high * sym.arity + [coeff_bound] * dim
+        order = [a * size + i for a in reversed(range(sym.arity)) for i in range(size)]
+        order += range(sym.arity * size, sym.arity * size + dim)
+        slots.extend(
+            (sym, i, high[sym][i]) for i in order if high[sym][i] > low[sym][i]
+        )
+
+    def unflatten(sym: Symbol, flat: list[int]) -> SymbolInterp:
+        rows = [tuple(flat[i : i + dim]) for i in range(0, len(flat), dim)]
+        mats = tuple(tuple(rows[a * dim : (a + 1) * dim]) for a in range(sym.arity))
+        return mats, rows[-1]
+
+    lows = {sym: unflatten(sym, low[sym]) for sym in symbols}
+    highs = {sym: unflatten(sym, high[sym]) for sym in symbols}
+
+    def put(sym: Symbol, offset: int, smallest: int, largest: int) -> None:
+        low[sym][offset], high[sym][offset] = smallest, largest
+        lows[sym], highs[sym] = unflatten(sym, low[sym]), unflatten(sym, high[sym])
+
+    def orientable(rule: Rule) -> bool:
+        left = _linearize(highs, dim, rule.lhs)
+        right = _linearize(lows, dim, rule.rhs)
         if not vec_strict_gt(left.const, right.const):
             return False
         for name in {**left.coeffs, **right.coeffs}:
@@ -423,4 +408,33 @@ def search_tmi(
                 return False
         return True
 
-    return assign(0)
+    # depth-first over slots without recursion: chosen[k] is the value of
+    # slots[k], or -1 while it is open
+    chosen = [-1] * len(slots)
+    attempts = 0
+    k = 0
+    while k < len(slots):
+        sym, offset, top = slots[k]
+        value = chosen[k] + 1
+        if value > top:
+            chosen[k] = -1
+            put(sym, offset, 0, top)
+            k -= 1
+            if k < 0:
+                return None
+            continue
+        attempts += 1
+        if attempts > budget:
+            raise SearchBudgetExhausted(attempts)
+        chosen[k] = value
+        put(sym, offset, value, value)
+        if all(orientable(rule) for rule in touching[sym]):
+            k += 1
+
+    found = MatrixInterp(dim, lows)
+    verdict = check_tmi(found, trs)
+    if not verdict.ok:
+        raise RuntimeError(
+            f"search found an interpretation that fails its check: {verdict.failure}"
+        )
+    return found

@@ -365,3 +365,14 @@ def test_parse_errors_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, "rewrite", str(f), "--term", "a")
     assert code == 3
     assert "line 1, column" in err
+
+
+def test_internal_errors_exit_four(capsys):
+    # a term nested deeper than the recursion limit still breaks the
+    # rewriting engine; that is a failure of atrs, not a refutation
+    depth = 12_000
+    term = "add @ " + "(s @ " * depth + "0" + ")" * depth + " @ (s @ 0)"
+    code, out, err = run(capsys, "dh", ADD, "--strategy", "innermost", "--term", term)
+    assert code == 4
+    assert out == ""
+    assert "internal error: RecursionError" in err

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from atrs import systems
 from atrs.complexity import enumerate_terms
+from atrs.parsing import format_tmi
 from atrs.terms import Fun, Rule, Symbol, Trs, Var, variables
 from atrs.tmi import (
     Certificate,
@@ -23,6 +26,7 @@ from atrs.tmi import (
     vec_add,
 )
 from atrs.uncurrying import transform
+from tmi_reference import search_tmi as reference_search_tmi
 
 X = Var("x")
 Y = Var("y")
@@ -243,3 +247,84 @@ def test_search_validates_parameters():
 
 def test_search_exhausts_dimension_one_for_curried_addition():
     assert search_tmi(systems.addition(), 1, 2, 500_000) is None
+
+
+# the first dimension-2 certificates for uncurried addition in candidate
+# order, with coefficients up to 1 and up to 2
+ADDITION_CERTIFICATE_C1 = (
+    "0/0 : [] + [0; 0]\n"
+    "add/0 : [] + [0; 1]\n"
+    "add#1/1 : [ [1 0; 0 1] ] + [0; 1]\n"
+    "add#2/2 : [ [1 0; 0 1], [1 1; 0 1] ] + [1; 0]\n"
+    "app/2 : [ [1 1; 0 1], [1 1; 0 1] ] + [1; 0]\n"
+    "s/0 : [] + [0; 1]\n"
+    "s#1/1 : [ [1 0; 0 1] ] + [0; 1]\n"
+)
+ADDITION_CERTIFICATE_C2 = (
+    "0/0 : [] + [0; 0]\n"
+    "add/0 : [] + [0; 0]\n"
+    "add#1/1 : [ [1 0; 0 1] ] + [0; 0]\n"
+    "add#2/2 : [ [1 0; 0 1], [1 1; 0 1] ] + [1; 0]\n"
+    "app/2 : [ [1 0; 0 1], [1 1; 0 1] ] + [2; 0]\n"
+    "s/0 : [] + [0; 1]\n"
+    "s#1/1 : [ [1 0; 0 1] ] + [0; 1]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "coeff_bound, expected",
+    [(1, ADDITION_CERTIFICATE_C1), (2, ADDITION_CERTIFICATE_C2)],
+    ids=["c1", "c2"],
+)
+def test_search_returns_the_first_certificate_in_candidate_order(
+    coeff_bound, expected
+):
+    found = search_tmi(combined_addition(), 2, coeff_bound, 100_000)
+    assert format_tmi(found) == expected
+
+
+def test_search_refutes_uncurried_doubling_at_dimension_two():
+    trs = transform(systems.doubling()).combined
+    assert search_tmi(trs, 2, 1, 100_000) is None
+
+
+_A, _B = sym("a", 0), sym("b", 0)
+_F, _G, _H = sym("f", 1), sym("g", 1), sym("h", 2)
+
+
+def _terms(names):
+    leaves = [Fun(_A), Fun(_B)] + [Var(n) for n in names]
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.one_of(
+            st.builds(lambda t: Fun(_F, (t,)), inner),
+            st.builds(lambda t: Fun(_G, (t,)), inner),
+            st.builds(lambda s, t: Fun(_H, (s, t)), inner, inner),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def _small_systems(draw):
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(_terms(("x", "y")).filter(lambda t: isinstance(t, Fun)))
+        rules.append(Rule(lhs, draw(_terms(variables(lhs)))))
+    return Trs(rules)
+
+
+_FA = Fun(_F, (Fun(_A),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_systems(), st.integers(1, 2), st.integers(1, 2))
+# either argument matrix of h can carry the decrease; which one the first
+# certificate uses depends on the order the arguments are branched on
+@example(Trs([Rule(Fun(_H, (_FA, _FA)), Fun(_H, (Fun(_A), Fun(_A))))]), 2, 1)
+def test_search_agrees_with_generate_and_test(trs, dim, coeff_bound):
+    try:
+        want = reference_search_tmi(trs, dim, coeff_bound, 5_000)
+    except SearchBudgetExhausted:
+        assume(False)
+    assert search_tmi(trs, dim, coeff_bound, 10_000_000) == want
