@@ -35,7 +35,6 @@ from .parsing import (
 )
 from .rewriting import (
     Finished,
-    FuelExhausted,
     LoopDetected,
     LoopWitness,
     StrategyKind,

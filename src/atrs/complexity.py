@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .rewriting import (
-    FuelExhausted,
     Finished,
-    HeightSearch,
     LoopDetected,
     LoopWitness,
     RelativeHeightSearch,
@@ -78,12 +76,11 @@ def enumerate_terms(
     Variables are named canonically in order of first occurrence, so distinct
     listed terms are distinct modulo renaming.
     """
-    symbols = tuple(sorted(set(signature)))
-    out: list[Term] = []
-    for size in range(1, max_size + 1):
-        for t, _ in _terms_of_size(symbols, size, 0, max_vars):
-            out.append(t)
-    return out
+    return [
+        t
+        for size in range(1, max_size + 1)
+        for t in terms_of_size(signature, size, max_vars)
+    ]
 
 
 @dataclass(frozen=True)
@@ -122,11 +119,10 @@ def _fill_table(
     max_size: int,
     max_vars: int,
 ) -> ComplexityTable:
-    symbols = tuple(sorted(set(signature)))
     best = 0
     witness: Term | None = None
     for n in range(1, max_size + 1):
-        for t, _ in _terms_of_size(symbols, n, 0, max_vars):
+        for t in terms_of_size(signature, n, max_vars):
             outcome = height_of(t)
             if isinstance(outcome, Finished):
                 if witness is None or outcome.value > best:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import systems
 from .complexity import enumerate_terms
 from .rewriting import (
     FuelExhaustedError,
@@ -19,7 +20,7 @@ from .rewriting import (
     redexes,
     successors,
 )
-from .terms import Fun, Rule, Symbol, Term, Trs, Var, term_sort_key
+from .terms import Fun, Symbol, Term, Trs, Var, term_sort_key
 from .uncurrying import AtrsContext, transform, uncurry_nf, uncurrying_system
 
 # Closures of the uncurrying rules alone are small (the system is terminating
@@ -254,21 +255,6 @@ def _proper_subterms(t: Term) -> list[Term]:
     return list(out)
 
 
-def _weakening_system() -> Trs:
-    """The three-rule system {f -> g, f x -> g x, a -> b} with parallel
-    redexes, fixed because the counterexample below is about its shape."""
-    app = Symbol("app", 2)
-    f, g, a, b = (Fun(Symbol(n, 0)) for n in "fgab")
-    x = Var("x")
-    return Trs(
-        (
-            Rule(f, g),
-            Rule(Fun(app, (f, x)), Fun(app, (g, x))),
-            Rule(a, b),
-        )
-    )
-
-
 def verify_innermost_weakening_fails() -> VerificationReport:
     """The rightmost restriction in the simulation property is essential.
 
@@ -278,7 +264,7 @@ def verify_innermost_weakening_fails() -> VerificationReport:
     source read through the rightmost-innermost step does.  The report holds
     iff both findings are reproduced exactly.
     """
-    trs = _weakening_system()
+    trs = systems.parallel_redexes()
     res = transform(trs)
     ctx = res.context
     app = ctx.app

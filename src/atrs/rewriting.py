@@ -4,15 +4,21 @@ Step computation is memoized per (system, term) over interned terms, so
 repeated reachability and height searches touch each distinct term once.
 All searches are totalized by fuel: they finish, run out of fuel, or detect
 a loop and report it with a concrete witness.
+
+HeightSearch is the one longest-path search.  It walks the distinct
+one-step results of each term under a strategy; RelativeHeightSearch walks
+the relative successors of a main system modulo a second one instead, and
+only these successors and the loop witness differ between the two.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .terms import (
     Fun,
@@ -137,16 +143,20 @@ def is_normal_form_fast(trs: Trs, t: Term) -> bool:
     return not _innermost_steps(trs, t)
 
 
+def _strategy_steps(trs: Trs, t: Term, kind: StrategyKind) -> tuple[RewriteStep, ...]:
+    if kind is StrategyKind.FULL:
+        return _full_steps(trs, t)
+    inner = _innermost_steps(trs, t)
+    if kind is StrategyKind.INNERMOST or not inner:
+        return inner
+    rightmost = max(st.position for st in inner)
+    return tuple(st for st in inner if st.position == rightmost)
+
+
 def redexes(trs: Trs, t: Term, kind: StrategyKind) -> list[RewriteStep]:
     """The steps available from t under the strategy, sorted by position
     (leftmost-outermost order) and rule index."""
-    if kind is StrategyKind.FULL:
-        return list(_full_steps(trs, t))
-    inner = _innermost_steps(trs, t)
-    if kind is StrategyKind.INNERMOST or not inner:
-        return list(inner)
-    rightmost = max(st.position for st in inner)
-    return [st for st in inner if st.position == rightmost]
+    return list(_strategy_steps(trs, t, kind))
 
 
 def rightmost_innermost_position(trs: Trs, t: Term) -> Position | None:
@@ -159,7 +169,7 @@ def rightmost_innermost_position(trs: Trs, t: Term) -> Position | None:
 
 def successors(trs: Trs, t: Term, kind: StrategyKind) -> list[Term]:
     """Distinct one-step results from t, in step order."""
-    return list(dict.fromkeys(st.result for st in redexes(trs, t, kind)))
+    return list(dict.fromkeys(st.result for st in _strategy_steps(trs, t, kind)))
 
 
 def _closure(
@@ -232,24 +242,36 @@ def normalize(trs: Trs, t: Term, kind: StrategyKind, fuel: int) -> FuelOutcome:
 
 
 class HeightSearch:
-    """Longest-path search over a rewrite graph with a shared memo table.
+    """Longest-path search over the rewrite graph of trs under kind, with a
+    shared memo table.
 
-    Each instance fixes a successor function; height() may be called for many
-    start terms and reuses everything already explored.  Fuel counts terms
-    newly explored by one call; memoized subgraphs are free.
+    The edges from t go to its distinct one-step results, in step order.
+    height() may be called for many start terms and reuses everything
+    already explored.  Fuel counts terms newly explored by one call;
+    memoized subgraphs are free.  Subclasses change the graph by overriding
+    _successors and _cycle_trace.
     """
 
-    def __init__(self, step_fn: Callable[[Term], tuple[RewriteStep, ...]]):
-        self._steps_of = step_fn
+    def __init__(self, trs: Trs, kind: StrategyKind):
+        self.trs = trs
+        self.kind = kind
         self.memo: dict[Term, int] = {}
-        self._dedup: dict[Term, tuple[RewriteStep, ...]] = {}
 
-    def _steps(self, t: Term) -> tuple[RewriteStep, ...]:
-        got = self._dedup.get(t)
-        if got is None:
-            got = tuple({st.result: st for st in self._steps_of(t)}.values())
-            self._dedup[t] = got
-        return got
+    def _successors(self, t: Term) -> tuple[Term, ...]:
+        steps = _strategy_steps(self.trs, t, self.kind)
+        return tuple(dict.fromkeys(st.result for st in steps))
+
+    def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:
+        """The steps along cycle[0] -> cycle[1] -> ... -> cycle[0], taking
+        for each edge a -> b the last step of a with result b."""
+        return tuple(
+            next(
+                st
+                for st in reversed(_strategy_steps(self.trs, a, self.kind))
+                if st.result == b
+            )
+            for a, b in zip(cycle, cycle[1:] + cycle[:1])
+        )
 
     def height(self, t: Term, fuel: int) -> FuelOutcome:
         memo = self.memo
@@ -257,110 +279,6 @@ class HeightSearch:
             return Finished(memo[t])
         if fuel <= 0:
             raise ValueError("fuel must be positive")
-        new_nodes = 1
-        stack = [[t, self._steps(t), 0, 0]]
-        on_stack = {t: 0}
-        while stack:
-            frame = stack[-1]
-            steps = frame[1]
-            if frame[2] < len(steps):
-                st = steps[frame[2]]
-                frame[2] += 1
-                u = st.result
-                h = memo.get(u)
-                if h is not None:
-                    if h + 1 > frame[3]:
-                        frame[3] = h + 1
-                elif u in on_stack:
-                    start = on_stack[u]
-                    trace = tuple(f[1][f[2] - 1] for f in stack[start:])
-                    return LoopDetected(LoopWitness(u, trace))
-                else:
-                    new_nodes += 1
-                    if new_nodes > fuel:
-                        return FuelExhausted()
-                    on_stack[u] = len(stack)
-                    stack.append([u, self._steps(u), 0, 0])
-            else:
-                stack.pop()
-                del on_stack[frame[0]]
-                memo[frame[0]] = frame[3]
-                if stack and frame[3] + 1 > stack[-1][3]:
-                    stack[-1][3] = frame[3] + 1
-        return Finished(memo[t])
-
-
-def strategy_search(trs: Trs, kind: StrategyKind) -> HeightSearch:
-    """A HeightSearch over the one-step relation of trs under kind."""
-    if kind is StrategyKind.FULL:
-        return HeightSearch(lambda t: _full_steps(trs, t))
-    if kind is StrategyKind.INNERMOST:
-        return HeightSearch(lambda t: _innermost_steps(trs, t))
-    return HeightSearch(lambda t: tuple(redexes(trs, t, kind)))
-
-
-def derivation_height(trs: Trs, t: Term, kind: StrategyKind, fuel: int) -> FuelOutcome:
-    """The maximal m with t rewriting in m steps under the strategy.
-
-    Finished(m) for terminating reachable graphs; LoopDetected with a witness
-    when a cycle is reachable (the height is then undefined); FuelExhausted
-    when more than fuel distinct terms would have to be visited.
-    """
-    return strategy_search(trs, kind).height(t, fuel)
-
-
-class RelativeHeightSearch:
-    """Height search counting main steps modulo a second system.
-
-    Successor edges are t => u iff t ->modulo* . ->main . ->modulo* u; the
-    height of t is the maximal number of main steps in any mixed derivation.
-    Loop witnesses are reconstructed as concrete step traces in the disjoint
-    union of the two systems, main rules first.
-    """
-
-    def __init__(self, main: Trs, modulo: Trs, fuel: int):
-        self.main = main
-        self.modulo = modulo
-        self.fuel = fuel
-        self.combined = Trs(
-            main.rules + modulo.rules,
-            extra_signature=main.signature | modulo.signature,
-        )
-        self.memo: dict[Term, int] = {}
-        self._succ: dict[Term, tuple[Term, ...]] = {}
-
-    def _successors(self, t: Term) -> tuple[Term, ...]:
-        got = self._succ.get(t)
-        if got is None:
-            got = tuple(relative_successors(self.main, self.modulo, t, self.fuel))
-            self._succ[t] = got
-        return got
-
-    def _cycle_trace(self, start: Term) -> tuple[RewriteStep, ...]:
-        """A concrete combined-system step trace from start back to start
-        containing at least one main step, found by bounded BFS."""
-        n_main = len(self.main.rules)
-        frontier: list[tuple[Term, bool, tuple[RewriteStep, ...]]] = [
-            (start, False, ())
-        ]
-        seen: set[tuple[Term, bool]] = {(start, False)}
-        while frontier and len(seen) <= 4 * self.fuel:
-            t, counted, trace = frontier.pop(0)
-            for st in _full_steps(self.combined, t):
-                counted2 = counted or st.rule_index < n_main
-                u = st.result
-                if u == start and counted2:
-                    return trace + (st,)
-                key = (u, counted2)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append((u, counted2, trace + (st,)))
-        return ()
-
-    def height(self, t: Term, fuel: int) -> FuelOutcome:
-        memo = self.memo
-        if t in memo:
-            return Finished(memo[t])
         new_nodes = 1
         try:
             stack = [[t, self._successors(t), 0, 0]]
@@ -376,7 +294,8 @@ class RelativeHeightSearch:
                         if h + 1 > frame[3]:
                             frame[3] = h + 1
                     elif u in on_stack:
-                        return LoopDetected(LoopWitness(u, self._cycle_trace(u)))
+                        cycle = [f[0] for f in stack[on_stack[u] :]]
+                        return LoopDetected(LoopWitness(u, self._cycle_trace(cycle)))
                     else:
                         new_nodes += 1
                         if new_nodes > fuel:
@@ -392,6 +311,70 @@ class RelativeHeightSearch:
         except FuelExhaustedError:
             return FuelExhausted()
         return Finished(memo[t])
+
+
+def strategy_search(trs: Trs, kind: StrategyKind) -> HeightSearch:
+    """A HeightSearch over the one-step relation of trs under kind."""
+    return HeightSearch(trs, kind)
+
+
+def derivation_height(trs: Trs, t: Term, kind: StrategyKind, fuel: int) -> FuelOutcome:
+    """The maximal m with t rewriting in m steps under the strategy.
+
+    Finished(m) for terminating reachable graphs; LoopDetected with a witness
+    when a cycle is reachable (the height is then undefined); FuelExhausted
+    when more than fuel distinct terms would have to be visited.
+    """
+    return strategy_search(trs, kind).height(t, fuel)
+
+
+class RelativeHeightSearch(HeightSearch):
+    """Height search counting main steps modulo a second system.
+
+    Successor edges are t => u iff t ->modulo* . ->main . ->modulo* u; the
+    height of t is the maximal number of main steps in any mixed derivation.
+    fuel bounds each modulo closure (see relative_successors).  Loop
+    witnesses are concrete full-step traces in combined, the disjoint union
+    of the two systems, main rules first.
+    """
+
+    def __init__(self, main: Trs, modulo: Trs, fuel: int):
+        self.main = main
+        self.modulo = modulo
+        self.fuel = fuel
+        self.combined = Trs(
+            main.rules + modulo.rules,
+            extra_signature=main.signature | modulo.signature,
+        )
+        super().__init__(self.combined, StrategyKind.FULL)
+
+    def _successors(self, t: Term) -> tuple[Term, ...]:
+        return tuple(relative_successors(self.main, self.modulo, t, self.fuel))
+
+    def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:
+        """A shortest combined trace from cycle[0] back to itself with at
+        least one main step, found by breadth-first search over (term, main
+        step taken).  The relative cycle guarantees that one exists."""
+        start = cycle[0]
+        n_main = len(self.main.rules)
+        root = (start, False)
+        came_from: dict[tuple[Term, bool], tuple] = {root: ()}
+        frontier = deque([root])
+        while frontier:
+            key = frontier.popleft()
+            for st in _full_steps(self.combined, key[0]):
+                counted = key[1] or st.rule_index < n_main
+                if st.result == start and counted:
+                    trace = [st]
+                    while key != root:
+                        key, step = came_from[key]
+                        trace.append(step)
+                    return tuple(reversed(trace))
+                nxt = (st.result, counted)
+                if nxt not in came_from:
+                    came_from[nxt] = (key, st)
+                    frontier.append(nxt)
+        raise RuntimeError(f"no relative cycle through {start}")
 
 
 def detect_innermost_nontermination(

@@ -93,7 +93,8 @@ class AtrsContext:
         aa = ", ".join(f"{n}:{k}" for n, k in sorted(self.aa.items()))
         return f"AtrsContext(app={self.app.name}, aa={{{aa}}})"
 
-    def family(self, base: str, i: int) -> Symbol:
+    @staticmethod
+    def family(base: str, i: int) -> Symbol:
         """The i-th family member of the constant named base."""
         if i == 0:
             return Symbol(base, 0)
@@ -225,18 +226,14 @@ def currying_system(symbols: set[Symbol] | frozenset[Symbol], app: Symbol = DEFA
         if f == app or f.arity == 0:
             continue
         for i in range(f.arity - 1, -1, -1):
-            upper = f if i + 1 == f.arity else _member(f.name, i + 1)
-            lower = _member(f.name, i)
+            upper = f if i + 1 == f.arity else AtrsContext.family(f.name, i + 1)
+            lower = AtrsContext.family(f.name, i)
             xs = tuple(Var(f"x{j + 1}") for j in range(i))
             y = Var("y")
             rules.append(
                 Rule(Fun(upper, xs + (y,)), Fun(app, (Fun(lower, xs), y)))
             )
     return Trs(rules, extra_signature=symbols | {app})
-
-
-def _member(base: str, i: int) -> Symbol:
-    return Symbol(base, 0) if i == 0 else Symbol(f"{base}#{i}", i)
 
 
 def curry_nf(
@@ -254,7 +251,7 @@ def curry_nf(
             continue
         flat[f] = f.name
         for i in range(1, f.arity):
-            flat[_member(f.name, i)] = f.name
+            flat[AtrsContext.family(f.name, i)] = f.name
 
     def go(t: Term) -> Term:
         if isinstance(t, Var):

@@ -176,6 +176,22 @@ def test_dh_json_loop_report(capsys):
     assert witness["trace"][-1]["result"] == "f @ a"
 
 
+def test_loop_witness_reports_the_last_step_sharing_a_result(capsys, tmp_path):
+    # rule 1 at the root and rule 2 at position 1 both rewrite f @ a to itself
+    f = tmp_path / "dup.trs"
+    f.write_text("(VAR x) (RULES f @ x -> f @ x  f -> f)\n", encoding="utf-8")
+    argv = ("dh", str(f), "--term", "f @ a", "--strategy", "full")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[1:] == ["start: f @ a", "  -> f @ a  (rule 2 at 1)"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["data"]["witness"] == {
+        "start": "f @ a",
+        "trace": [{"position": [1], "rule": 2, "result": "f @ a"}],
+    }
+
+
 def test_dc_table(capsys):
     code, out, _ = run(capsys, "dc", ADD, "--max-size", "5")
     assert code == 0

@@ -209,6 +209,19 @@ def test_relative_height_loop_witness_mixes_both_systems():
     assert any(i < len(main.rules) for i in used)
 
 
+def test_relative_loop_witness_is_never_empty():
+    # every c_i @ e_j lies on a 30-step main cycle, so the witness search
+    # visits far more (term, main step taken) states than the closure fuel
+    n = 30
+    main = trs_of("(RULES %s)" % " ".join(f"c{i} -> c{(i + 1) % n}" for i in range(n)))
+    modulo = trs_of("(RULES %s)" % " ".join(f"e{i} -> e{i + 1}" for i in range(n)))
+    search = RelativeHeightSearch(main, modulo, 93)
+    out = search.height(term_in(search.combined, "c0 @ e0"), 100_000)
+    assert isinstance(out, LoopDetected)
+    replay(search.combined, out.witness)
+    assert any(st.rule_index < len(main.rules) for st in out.witness.trace)
+
+
 def test_relative_height_fuel_exhaustion_from_the_closure():
     main = trs_of("(RULES a -> b)")
     modulo = trs_of("(RULES c -> s @ c)")
