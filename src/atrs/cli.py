@@ -24,7 +24,6 @@ from .oracles import (
 )
 from .parsing import (
     InputProblem,
-    ParseError,
     format_rule,
     format_term,
     format_tmi,
@@ -45,13 +44,8 @@ from .rewriting import (
     successors,
 )
 from .terms import Position, Term
-from .tmi import (
-    InterpretationError,
-    SearchBudgetExhausted,
-    check_tmi,
-    search_tmi,
-)
-from .uncurrying import TransformError, detect_atrs, transform
+from .tmi import SearchBudgetExhausted, check_tmi, search_tmi
+from .uncurrying import detect_atrs, transform
 
 _STRATEGIES = {
     "full": StrategyKind.FULL,
@@ -456,13 +450,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ParseError, TransformError, InterpretationError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
+    except (_UsageError, ValueError, OSError) as e:
+        # ParseError, TransformError and InterpretationError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 3
     except Exception as e:

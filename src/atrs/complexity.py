@@ -13,6 +13,7 @@ from typing import Iterable, Iterator
 
 from .rewriting import (
     Finished,
+    HeightSearch,
     LoopDetected,
     LoopWitness,
     RelativeHeightSearch,
@@ -114,7 +115,8 @@ class ComplexityTable:
 
 def _fill_table(
     table: ComplexityTable,
-    height_of,
+    search: HeightSearch,
+    fuel: int,
     signature: Iterable[Symbol],
     max_size: int,
     max_vars: int,
@@ -123,7 +125,7 @@ def _fill_table(
     witness: Term | None = None
     for n in range(1, max_size + 1):
         for t in terms_of_size(signature, n, max_vars):
-            outcome = height_of(t)
+            outcome = search.height(t, fuel)
             if isinstance(outcome, Finished):
                 if witness is None or outcome.value > best:
                     best = outcome.value
@@ -152,10 +154,9 @@ def dc_table(
     Stops at the first size where a loop is detected (the value would be
     undefined) or fuel runs out; completed rows are kept either way.
     """
-    search = strategy_search(trs, kind)
     table = ComplexityTable(strategy=kind)
     return _fill_table(
-        table, lambda t: search.height(t, fuel), trs.signature, max_size, max_vars
+        table, strategy_search(trs, kind), fuel, trs.signature, max_size, max_vars
     )
 
 
@@ -171,11 +172,11 @@ def dc_relative_table(
     Enumeration runs over the union signature.  With an empty main system the
     relation is empty and every row is zero.
     """
-    search = RelativeHeightSearch(main, modulo, fuel)
     table = ComplexityTable(strategy=StrategyKind.FULL)
     return _fill_table(
         table,
-        lambda t: search.height(t, fuel),
+        RelativeHeightSearch(main, modulo, fuel),
+        fuel,
         main.signature | modulo.signature,
         max_size,
         max_vars,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from . import systems
 from .complexity import enumerate_terms
 from .rewriting import (
+    Closure,
     FuelExhaustedError,
     StrategyKind,
     is_normal_form_fast,
@@ -69,47 +70,6 @@ class VerificationReport:
         return not self.failures and not self.vacuous
 
 
-class _Closure:
-    """Reflexive-transitive closure sets under one strategy, memoized."""
-
-    def __init__(self, trs: Trs, kind: StrategyKind, fuel: int):
-        self.trs = trs
-        self.kind = kind
-        self.fuel = fuel
-        self.memo: dict[Term, frozenset[Term]] = {}
-
-    def star(self, t: Term) -> frozenset[Term]:
-        got = self.memo.get(t)
-        if got is not None:
-            return got
-        out: set[Term] = set()
-        frontier = [t]
-        while frontier:
-            s = frontier.pop()
-            if s in out:
-                continue
-            out.add(s)
-            if len(out) > self.fuel:
-                raise FuelExhaustedError(
-                    f"closure from {t!r} exceeded {self.fuel} terms"
-                )
-            done = self.memo.get(s)
-            if done is not None:
-                out.update(done)
-                continue
-            frontier.extend(successors(self.trs, s, self.kind))
-        frozen = frozenset(out)
-        self.memo[t] = frozen
-        return frozen
-
-    def plus(self, t: Term) -> frozenset[Term]:
-        """Terms reachable in at least one step."""
-        out: set[Term] = set()
-        for u in successors(self.trs, t, self.kind):
-            out.update(self.star(u))
-        return frozenset(out)
-
-
 def verify_uncurried_step(trs: Trs, max_size: int, fuel: int) -> VerificationReport:
     """Single full steps translate to nonempty uncurried derivations.
 
@@ -118,7 +78,7 @@ def verify_uncurried_step(trs: Trs, max_size: int, fuel: int) -> VerificationRep
     """
     res = transform(trs)
     ctx = res.context
-    reach = _Closure(res.combined, StrategyKind.FULL, fuel)
+    reach = Closure(res.combined, StrategyKind.FULL, fuel)
     checked = 0
     failures: list[Failure] = []
     exhausted: list[Exhausted] = []
@@ -154,8 +114,8 @@ def verify_rightmost_simulation(
     reduct of u under the uncurrying rules.
     """
     res = transform(trs)
-    u_reach = _Closure(res.u_rules, StrategyKind.FULL, _U_FUEL)
-    i_reach = _Closure(res.combined, StrategyKind.INNERMOST, fuel)
+    u_reach = Closure(res.u_rules, StrategyKind.FULL, _U_FUEL)
+    i_reach = Closure(res.combined, StrategyKind.INNERMOST, fuel)
     checked = 0
     failures: list[Failure] = []
     exhausted: list[Exhausted] = []
@@ -192,13 +152,19 @@ def verify_nf_preservation(
     form must be a normal form of the uncurried eta-saturation.
     """
     res = transform(trs)
-    u_reach = _Closure(res.u_rules, StrategyKind.FULL, fuel)
+    u_reach = Closure(res.u_rules, StrategyKind.FULL, fuel)
     checked = 0
     failures: list[Failure] = []
+    exhausted: list[Exhausted] = []
     for s in enumerate_terms(trs.signature, max_size):
         if not is_normal_form_fast(trs, s):
             continue
-        for t in sorted(u_reach.star(s), key=term_sort_key):
+        try:
+            reducts = u_reach.star(s)
+        except FuelExhaustedError:
+            exhausted.append(Exhausted((s,), f"closure fuel {fuel}"))
+            continue
+        for t in sorted(reducts, key=term_sort_key):
             checked += 1
             if not is_normal_form_fast(res.uncurried_eta, t):
                 failures.append(
@@ -208,7 +174,9 @@ def verify_nf_preservation(
                         "reduct has a step in the uncurried system",
                     )
                 )
-    return VerificationReport("nf-preservation", checked, tuple(failures))
+    return VerificationReport(
+        "nf-preservation", checked, tuple(failures), tuple(exhausted)
+    )
 
 
 def verify_subterm_commutation(
@@ -220,24 +188,30 @@ def verify_subterm_commutation(
     proper subterm of t, some proper subterm v of s satisfies v ->* u.
     """
     u_trs = uncurrying_system(ctx)
-    u_reach = _Closure(u_trs, StrategyKind.FULL, fuel)
+    u_reach = Closure(u_trs, StrategyKind.FULL, fuel)
     signature = {ctx.app} | ctx.constants
     checked = 0
     failures: list[Failure] = []
+    exhausted: list[Exhausted] = []
     for s in enumerate_terms(signature, max_size):
         proper_s = _proper_subterms(s)
-        for t in sorted(u_reach.star(s), key=term_sort_key):
-            for u in _proper_subterms(t):
-                checked += 1
-                if not any(u in u_reach.star(v) for v in proper_s):
-                    failures.append(
-                        Failure(
-                            (s, t, u),
-                            "subterm of a reduct is a reduct of a subterm",
-                            "no source subterm rewrites to it",
+        try:
+            for t in sorted(u_reach.star(s), key=term_sort_key):
+                for u in _proper_subterms(t):
+                    checked += 1
+                    if not any(u in u_reach.star(v) for v in proper_s):
+                        failures.append(
+                            Failure(
+                                (s, t, u),
+                                "subterm of a reduct is a reduct of a subterm",
+                                "no source subterm rewrites to it",
+                            )
                         )
-                    )
-    return VerificationReport("subterm-commutation", checked, tuple(failures))
+        except FuelExhaustedError:
+            exhausted.append(Exhausted((s,), f"closure fuel {fuel}"))
+    return VerificationReport(
+        "subterm-commutation", checked, tuple(failures), tuple(exhausted)
+    )
 
 
 def _proper_subterms(t: Term) -> list[Term]:
@@ -272,8 +246,8 @@ def verify_innermost_weakening_fails() -> VerificationReport:
     f_a = Fun(app, (f, a))
     g_a = Fun(app, (g, a))
     f1_a = Fun(ctx.family("f", 1), (a,))
-    u_reach = _Closure(res.u_rules, StrategyKind.FULL, _U_FUEL)
-    i_reach = _Closure(res.combined, StrategyKind.INNERMOST, _U_FUEL)
+    u_reach = Closure(res.u_rules, StrategyKind.FULL, _U_FUEL)
+    i_reach = Closure(res.combined, StrategyKind.INNERMOST, _U_FUEL)
 
     failures: list[Failure] = []
     # premises: f(a) uncurries to f#1(a), steps innermost to g(a), and its

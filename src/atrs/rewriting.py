@@ -9,6 +9,10 @@ HeightSearch is the one longest-path search.  It walks the distinct
 one-step results of each term under a strategy; RelativeHeightSearch walks
 the relative successors of a main system modulo a second one instead, and
 only these successors and the loop witness differ between the two.
+
+Closure is the one reachability search.  It gives the memoized `->*` and
+`->+` sets behind reachable, relative_successors and the oracles, and its
+fuel bounds each set it returns.
 """
 
 from __future__ import annotations
@@ -172,45 +176,76 @@ def successors(trs: Trs, t: Term, kind: StrategyKind) -> list[Term]:
     return list(dict.fromkeys(st.result for st in _strategy_steps(trs, t, kind)))
 
 
-def _closure(
-    trs: Trs, start: Iterable[Term], visited: set[Term], fuel: int
-) -> set[Term]:
-    """All terms reachable from start by full steps; visited is shared fuel
-    accounting across calls."""
-    out: set[Term] = set()
-    frontier = list(start)
-    while frontier:
-        t = frontier.pop()
-        if t in out:
-            continue
-        out.add(t)
-        if t not in visited:
-            visited.add(t)
-            if len(visited) > fuel:
-                raise FuelExhaustedError(f"closure exceeded {fuel} distinct terms")
-        for st in _full_steps(trs, t):
-            if st.result not in out:
-                frontier.append(st.result)
-    return out
+class Closure:
+    """Reflexive-transitive closure sets of trs under kind, memoized by
+    start term.
+
+    Fuel bounds each closure set: star(t) raises FuelExhaustedError exactly
+    when more than fuel terms are reachable from t.  The returned sets are
+    shared with the memo and must not be mutated.
+    """
+
+    def __init__(self, trs: Trs, kind: StrategyKind, fuel: int):
+        if fuel < 1:
+            raise ValueError("fuel must be positive")
+        self.trs = trs
+        self.kind = kind
+        self.fuel = fuel
+        self.memo: dict[Term, set[Term]] = {}
+
+    def star(self, t: Term) -> set[Term]:
+        """Terms reachable from t in zero or more steps."""
+        memo = self.memo
+        out = memo.get(t)
+        if out is not None:
+            return out
+        trs, kind, fuel = self.trs, self.kind, self.fuel
+        out = {t}
+        todo = [t]
+        while todo:
+            for st in _strategy_steps(trs, todo.pop(), kind):
+                u = st.result
+                if u not in out:
+                    done = memo.get(u)
+                    if done is None:
+                        out.add(u)
+                        todo.append(u)
+                    else:
+                        out |= done
+            if len(out) > fuel:
+                raise FuelExhaustedError(f"closure from {t!r} exceeded {fuel} terms")
+        memo[t] = out
+        return out
+
+    def plus(self, t: Term) -> set[Term]:
+        """Terms reachable from t in one or more steps."""
+        out: set[Term] = set()
+        for st in _strategy_steps(self.trs, t, self.kind):
+            out |= self.star(st.result)
+        return out
 
 
 def reachable(trs: Trs, t: Term, fuel: int) -> set[Term]:
     """All terms reachable from t by full rewriting, t included."""
-    return _closure(trs, [t], set(), fuel)
+    return Closure(trs, StrategyKind.FULL, fuel).star(t)
 
 
 def relative_successors(main: Trs, modulo: Trs, t: Term, fuel: int) -> list[Term]:
     """All u with t ->modulo* . ->main . ->modulo* u, deterministically ordered.
 
-    Fuel bounds the distinct terms visited in the modulo closures; exceeding
-    it raises FuelExhaustedError.  An empty main system yields no successors
-    even though the relative relation is then empty by definition rather than
-    by search.
+    The pre-closure and every post-closure come from one modulo Closure, so
+    fuel bounds each of these sets, and one exceeding it raises
+    FuelExhaustedError.  An empty main system yields no successors even
+    though the relative relation is then empty by definition rather than by
+    search.
     """
-    visited: set[Term] = set()
-    pre = _closure(modulo, [t], visited, fuel)
-    mid = {st.result for a in pre for st in _full_steps(main, a)}
-    post = _closure(modulo, mid, visited, fuel)
+    star = Closure(modulo, StrategyKind.FULL, fuel).star
+    post: set[Term] = set()
+    for a in star(t):
+        for st in _full_steps(main, a):
+            # post is closed under modulo steps, so a member adds nothing
+            if st.result not in post:
+                post |= star(st.result)
     return sorted(post, key=term_sort_key)
 
 

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from atrs import systems
 from atrs.cli import main
 from atrs.complexity import dc_relative_table
@@ -362,6 +364,32 @@ def test_verify_other_properties_hold_on_samples(capsys):
         )
         assert code == 0, (prop, out)
         assert out.splitlines()[-1] == "holds"
+
+
+@pytest.mark.parametrize(
+    "prop, checked, exhausted",
+    [("nf-preservation", 79, 90), ("subterm-commutation", 238, 94)],
+)
+def test_verify_reports_closure_fuel_as_undecided(capsys, prop, checked, exhausted):
+    code, out, _ = run(
+        capsys, "verify", ADD, "--property", prop,
+        "--max-size", "6", "--fuel", "1", "--json",
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "undecided"
+    assert report["data"]["instances_checked"] == checked
+    assert report["data"]["exhausted"] == exhausted
+
+
+@pytest.mark.parametrize(
+    "prop", ["uncurried-step", "ri-sim", "nf-preservation", "subterm-commutation"]
+)
+def test_verify_rejects_fuel_below_one(capsys, prop):
+    code, out, err = run(capsys, "verify", ADD, "--property", prop, "--fuel", "0")
+    assert code == 3
+    assert out == ""
+    assert "fuel must be positive" in err
 
 
 def test_usage_errors_exit_three(capsys):

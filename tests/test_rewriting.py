@@ -1,9 +1,12 @@
+from collections import deque
+
 import pytest
 
 from atrs import systems
 from atrs.complexity import enumerate_terms
 from atrs.parsing import parse_term, parse_trs
 from atrs.rewriting import (
+    Closure,
     Finished,
     FuelExhausted,
     FuelExhaustedError,
@@ -179,6 +182,60 @@ def test_reachable_set_and_fuel():
         reachable(trs, a, 1)
 
 
+def bfs_closure(trs, t, kind):
+    """Terms reachable from t, by a breadth-first search without a memo."""
+    seen = {t}
+    queue = deque([t])
+    while queue:
+        for u in successors(trs, queue.popleft(), kind):
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return seen
+
+
+def closure_or_fuel(sets, fuel):
+    """The union of sets, or FuelExhaustedError if one has more than fuel terms."""
+    if any(len(s) > fuel for s in sets):
+        return FuelExhaustedError
+    return set().union(*sets)
+
+
+def outcome_of(closure_method, t):
+    try:
+        return set(closure_method(t))
+    except FuelExhaustedError:
+        return FuelExhaustedError
+
+
+@pytest.mark.parametrize("name", sorted(systems.SOURCES))
+def test_closure_matches_a_memo_free_search(name):
+    # one closure per system, strategy and fuel serves every term, so later
+    # terms reuse the memoized sets of earlier ones
+    source = systems.system(name)
+    for trs in (source, transform(source).combined):
+        terms = enumerate_terms(trs.signature, 5)
+        for kind in (FULL, INNER, RI):
+            star = {t: bfs_closure(trs, t, kind) for t in terms}
+            plus = {
+                t: [bfs_closure(trs, u, kind) for u in successors(trs, t, kind)]
+                for t in terms
+            }
+            for fuel in (3, 10_000):
+                closure = Closure(trs, kind, fuel)
+                for t in terms:
+                    want = closure_or_fuel([star[t]], fuel)
+                    assert outcome_of(closure.star, t) == want
+                    want = closure_or_fuel(plus[t], fuel)
+                    assert outcome_of(closure.plus, t) == want
+
+
+def test_closure_fuel_must_be_positive():
+    trs = trs_of("(RULES a -> b)")
+    with pytest.raises(ValueError, match="fuel must be positive"):
+        Closure(trs, FULL, 0)
+
+
 def test_relative_successors_wrap_one_main_step():
     main = trs_of("(RULES a -> b)")
     modulo = trs_of("(RULES f -> g)")
@@ -188,6 +245,17 @@ def test_relative_successors_wrap_one_main_step():
     assert set(got) == want
     assert got == sorted(got, key=term_sort_key)
     assert relative_successors(trs_of("(RULES )"), modulo, t, 100) == []
+
+
+def test_relative_fuel_bounds_each_modulo_closure():
+    # the pre-closure {f @ a, g @ a} and the post-closure {f @ b, g @ b}
+    # hold two terms each, so fuel 2 suffices though their union holds four
+    main = trs_of("(RULES a -> b)")
+    modulo = trs_of("(RULES f -> g)")
+    got = relative_successors(main, modulo, term_in(main, "f @ a"), 2)
+    assert got == [term_in(main, "f @ b"), term_in(main, "g @ b")]
+    with pytest.raises(FuelExhaustedError):
+        relative_successors(main, modulo, term_in(main, "f @ a"), 1)
 
 
 def test_relative_height_counts_main_steps_only():
