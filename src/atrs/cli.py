@@ -404,7 +404,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--relative-to", metavar="FILE2",
                    help="count only main-system steps, this system free")
     p.add_argument("--fuel", type=int, default=10000)
-    p.add_argument("--max-vars", type=int, default=2)
+    p.add_argument("--max-vars", type=int, default=2,
+                   help="most distinct variables per enumerated term; at most 1"
+                   " when every system is left-linear, which gives the same table")
 
     p = command("check-tmi", _cmd_check_tmi, help="check a matrix interpretation")
     p.add_argument("file")

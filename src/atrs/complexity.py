@@ -20,7 +20,7 @@ from .rewriting import (
     StrategyKind,
     strategy_search,
 )
-from .terms import Fun, Symbol, Term, Trs, Var, canonical_var_name
+from .terms import Fun, Symbol, Term, Trs, Var, canonical_var_name, is_left_linear
 
 
 def _terms_of_size(
@@ -153,8 +153,15 @@ def dc_table(
 
     Stops at the first size where a loop is detected (the value would be
     undefined) or fuel runs out; completed rows are kept either way.
+
+    A left-linear system enumerates at most one variable: merging a term's
+    variables keeps its size and its height under every strategy, and the
+    merged term comes first, so rows, witnesses and loops stay the same.  Only
+    a table stopped by fuel may get further.
     """
     table = ComplexityTable(strategy=kind)
+    if is_left_linear(trs):
+        max_vars = min(max_vars, 1)
     return _fill_table(
         table, strategy_search(trs, kind), fuel, trs.signature, max_size, max_vars
     )
@@ -170,9 +177,12 @@ def dc_relative_table(
     """dc values counting main steps modulo the second system.
 
     Enumeration runs over the union signature.  With an empty main system the
-    relation is empty and every row is zero.
+    relation is empty and every row is zero.  When both systems are
+    left-linear, at most one variable is enumerated, as in dc_table.
     """
     table = ComplexityTable(strategy=StrategyKind.FULL)
+    if is_left_linear(main) and is_left_linear(modulo):
+        max_vars = min(max_vars, 1)
     return _fill_table(
         table,
         RelativeHeightSearch(main, modulo, fuel),

@@ -9,19 +9,29 @@ machinery relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Symbol:
-    """A function symbol with a fixed arity."""
+    """A function symbol with a fixed arity; the hash is stored, as in terms."""
 
     name: str
     arity: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{self.name}/{self.arity}"
+
+    def __reduce__(self):
+        return (Symbol, (self.name, self.arity))
 
 
 class Var:
@@ -352,6 +362,11 @@ def is_duplicating(trs: Trs) -> bool:
             if n > left.get(name, 0):
                 return True
     return False
+
+
+def is_left_linear(trs: Trs) -> bool:
+    """True iff no variable occurs twice in any left-hand side."""
+    return all(n == 1 for r in trs.rules for n in variable_counts(r.lhs).values())
 
 
 def is_normal_form(trs: Trs, t: Term) -> bool:

@@ -1,4 +1,7 @@
 import itertools
+from pathlib import Path
+
+import pytest
 
 from atrs import systems
 from atrs.complexity import (
@@ -9,18 +12,21 @@ from atrs.complexity import (
     enumerate_terms,
     terms_of_size,
 )
-from atrs.parsing import parse_trs
+from atrs.parsing import parse_term, parse_trs
 from atrs.rewriting import (
     Finished,
+    HeightSearch,
+    LoopDetected,
     RelativeHeightSearch,
     StrategyKind,
     derivation_height,
 )
-from atrs.terms import Fun, Symbol, Term, Var, canonical
-from atrs.uncurrying import transform
+from atrs.terms import Fun, Symbol, Term, Var, canonical, is_left_linear
+from atrs.uncurrying import TransformError, transform
 
 FULL = StrategyKind.FULL
 INNER = StrategyKind.INNERMOST
+TRS = Path(__file__).resolve().parent.parent / "trs"
 
 X = Var("x")
 Y = Var("y")
@@ -179,3 +185,80 @@ def test_relative_table_with_empty_main_is_all_zeros():
     table = dc_relative_table(main, modulo, 3, 1000)
     assert table.complete
     assert all(row.value == 0 for row in table.rows.values())
+
+
+def two_variable_table(search, kind, fuel, signature, max_size):
+    """Reference dc table over every term with at most two variables, which
+    dc_table must equal on left-linear systems."""
+    table = ComplexityTable(strategy=kind)
+    best, witness = 0, None
+    for n in range(1, max_size + 1):
+        for t in terms_of_size(signature, n, 2):
+            outcome = search.height(t, fuel)
+            if isinstance(outcome, Finished):
+                if witness is None or outcome.value > best:
+                    best, witness = outcome.value, t
+            else:
+                table.incomplete_at = n
+                if isinstance(outcome, LoopDetected):
+                    table.loop = outcome.witness
+                else:
+                    table.fuel_exhausted_on = t
+                return table
+        table.rows[n] = DcRow(best, witness)
+    return table
+
+
+def sample_systems():
+    """Every bundled sample system and every trs/ file, each system once
+    (the trs/ files of the samples hold the same rules)."""
+    found = {name: systems.system(name) for name in systems.SOURCES}
+    for path in sorted(TRS.glob("*.trs")):
+        trs = parse_trs(path.read_text(encoding="utf-8")).trs
+        if trs not in found.values():
+            found[path.name] = trs
+    return found
+
+
+SAMPLES = sample_systems()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_one_variable_tables_equal_two_variable_tables(name):
+    trs = SAMPLES[name]
+    assert is_left_linear(trs)
+    for kind in StrategyKind:
+        search = HeightSearch(trs, kind)
+        want = two_variable_table(search, kind, 5_000, trs.signature, 6)
+        assert want.fuel_exhausted_on is None
+        assert dc_table(trs, 6, kind, 5_000) == want
+        if name == "head_loop" and kind is FULL:
+            assert want.loop is not None
+
+    try:
+        res = transform(trs)
+    except TransformError:
+        return
+    main, modulo = res.uncurried_eta, res.u_rules
+    assert is_left_linear(main) and is_left_linear(modulo)
+    want = two_variable_table(
+        RelativeHeightSearch(main, modulo, 5_000), FULL, 5_000,
+        main.signature | modulo.signature, 5,
+    )
+    assert dc_relative_table(main, modulo, 5, 5_000) == want
+
+
+def test_tables_of_non_left_linear_systems_enumerate_two_variables():
+    trs = trs_of("(VAR x y) (RULES f(x, x) -> a  g(f(x, y)) -> g(f(x, y)))")
+    assert not is_left_linear(trs)
+    arities = {"f": 2, "g": 1, "a": 0}
+
+    def term(s):
+        return parse_term(s, {"x", "y"}, arities)
+
+    inner = dc_table(trs, 6, INNER, 1_000)
+    assert inner.incomplete_at == 4
+    assert inner.loop.start == term("g(f(x, y))")
+    one_var = dc_table(trs, 6, INNER, 1_000, max_vars=1)
+    assert one_var.loop.start == term("g(f(x, a))")
+    assert dc_table(trs, 6, FULL, 1_000).loop.start == term("g(f(x, x))")

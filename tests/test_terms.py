@@ -1,7 +1,9 @@
 import pickle
+from pathlib import Path
 
 import pytest
 
+from atrs.parsing import parse_trs
 from atrs.terms import (
     Fun,
     InvalidPositionError,
@@ -13,6 +15,7 @@ from atrs.terms import (
     canonical_rule,
     canonical_rules,
     is_duplicating,
+    is_left_linear,
     is_normal_form,
     match,
     parallel,
@@ -35,6 +38,7 @@ A = Symbol("a", 0)
 B = Symbol("b", 0)
 X = Var("x")
 Y = Var("y")
+TRS = Path(__file__).resolve().parent.parent / "trs"
 
 
 def fga():
@@ -170,6 +174,25 @@ def test_is_duplicating():
     lin = Trs([Rule(Fun(F, (X, Y)), Fun(G, (X,)))])
     assert is_duplicating(dup)
     assert not is_duplicating(lin)
+
+
+def test_is_left_linear():
+    add = parse_trs((TRS / "add.trs").read_text(encoding="utf-8")).trs
+    assert is_left_linear(add)
+    assert not is_left_linear(Trs([Rule(Fun(F, (X, X)), Fun(A))]))
+
+
+def test_symbol_hash_order_and_pickle_match_its_fields():
+    a, a_again, b = Symbol("add", 2), Symbol("add", 2), Symbol("add#1", 1)
+    assert a == a_again and hash(a) == hash(a_again) == hash(("add", 2))
+    assert a != b and a != ("add", 2)
+    syms = [Symbol("s", 1), Symbol("add", 2), Symbol("0", 0), Symbol("add", 0)]
+    assert sorted(syms) == [Symbol("0", 0), Symbol("add", 0), Symbol("add", 2),
+                            Symbol("s", 1)]
+    assert Symbol("add", 0) < Symbol("add", 2) <= a_again < b
+    assert repr(a) == "add/2"
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a) and repr(back) == "add/2"
 
 
 def test_is_normal_form():
