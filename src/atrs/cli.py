@@ -34,6 +34,7 @@ from .parsing import (
 )
 from .rewriting import (
     Finished,
+    FuelExhausted,
     LoopDetected,
     LoopWitness,
     StrategyKind,
@@ -54,6 +55,16 @@ _STRATEGIES = {
 }
 
 _EMIT_ORDER = ("input", "eta", "u", "uncurried", "eta-uncurried", "combined")
+
+#: Exit code of each report status; main adds 3 and 4 for errors.
+_EXIT_CODES = {"ok": 0, "refuted": 1, "loop": 1, "fuel-exhausted": 2,
+               "budget-exhausted": 2, "undecided": 2, "vacuous": 2}
+
+_ORACLES = {
+    "uncurried-step": verify_uncurried_step,
+    "ri-sim": verify_rightmost_simulation,
+    "nf-preservation": verify_nf_preservation,
+}
 
 
 class _UsageError(Exception):
@@ -94,13 +105,14 @@ def _witness_data(witness: LoopWitness) -> dict:
     }
 
 
-def _emit(args, status: str, data: dict, lines: list[str]) -> None:
+def _emit(args, status: str, data: dict, lines: list[str]) -> int:
     if args.json:
         report = {"command": args.command, "status": status, "data": data}
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
+    return _EXIT_CODES[status]
 
 
 def _load_problem(path: str) -> InputProblem:
@@ -143,8 +155,7 @@ def _cmd_uncurry(args) -> int:
             name: [format_rule(r) for r in named[name].rules] for name in wanted
         },
     }
-    _emit(args, "ok", data, lines)
-    return 0
+    return _emit(args, "ok", data, lines)
 
 
 def _cmd_rewrite(args) -> int:
@@ -155,16 +166,13 @@ def _cmd_rewrite(args) -> int:
     if args.normalize:
         outcome = normalize(trs, t, kind, args.fuel)
         if isinstance(outcome, Finished):
-            _emit(args, "ok", {"normal_form": format_term(outcome.value)},
-                  [format_term(outcome.value)])
-            return 0
+            return _emit(args, "ok", {"normal_form": format_term(outcome.value)},
+                         [format_term(outcome.value)])
         if isinstance(outcome, LoopDetected):
-            _emit(args, "loop", {"witness": _witness_data(outcome.witness)},
-                  ["loop detected"] + _witness_lines(outcome.witness))
-            return 1
-        _emit(args, "fuel-exhausted", {"fuel": args.fuel},
-              [f"fuel exhausted after {args.fuel} steps"])
-        return 2
+            return _emit(args, "loop", {"witness": _witness_data(outcome.witness)},
+                         ["loop detected"] + _witness_lines(outcome.witness))
+        return _emit(args, "fuel-exhausted", {"fuel": args.fuel},
+                     [f"fuel exhausted after {args.fuel} steps"])
     if args.steps is not None:
         trace = [format_term(t)]
         current = t
@@ -174,11 +182,9 @@ def _cmd_rewrite(args) -> int:
                 break
             current = steps[0].result
             trace.append(f"-> {format_term(current)}")
-        _emit(args, "ok", {"trace": trace}, trace)
-        return 0
+        return _emit(args, "ok", {"trace": trace}, trace)
     result = [format_term(u) for u in successors(trs, t, kind)]
-    _emit(args, "ok", {"successors": result}, result or ["normal form"])
-    return 0
+    return _emit(args, "ok", {"successors": result}, result or ["normal form"])
 
 
 def _cmd_dh(args) -> int:
@@ -187,15 +193,14 @@ def _cmd_dh(args) -> int:
     t = _term_argument(problem, args.term)
     outcome = derivation_height(problem.trs, t, kind, args.fuel)
     if isinstance(outcome, Finished):
-        _emit(args, "ok", {"dh": outcome.value}, [f"dh = {outcome.value}"])
-        return 0
+        return _emit(args, "ok", {"dh": outcome.value}, [f"dh = {outcome.value}"])
     if isinstance(outcome, LoopDetected):
-        _emit(args, "loop", {"witness": _witness_data(outcome.witness)},
-              ["loop detected, height undefined"] + _witness_lines(outcome.witness))
-        return 1
-    _emit(args, "fuel-exhausted", {"fuel": args.fuel},
-          [f"fuel exhausted ({args.fuel} distinct terms explored)"])
-    return 2
+        return _emit(
+            args, "loop", {"witness": _witness_data(outcome.witness)},
+            ["loop detected, height undefined"] + _witness_lines(outcome.witness),
+        )
+    return _emit(args, "fuel-exhausted", {"fuel": args.fuel},
+                 [f"fuel exhausted ({args.fuel} distinct terms explored)"])
 
 
 def _table_output(args, table: ComplexityTable) -> int:
@@ -212,18 +217,15 @@ def _table_output(args, table: ComplexityTable) -> int:
         lines.extend(_witness_lines(table.loop))
         data["incomplete_at"] = table.incomplete_at
         data["witness"] = _witness_data(table.loop)
-        _emit(args, "loop", data, lines)
-        return 1
+        return _emit(args, "loop", data, lines)
     if table.incomplete_at is not None:
         lines.append(
             f"fuel exhausted at size {table.incomplete_at}"
             f" on {format_term(table.fuel_exhausted_on)}"
         )
         data["incomplete_at"] = table.incomplete_at
-        _emit(args, "fuel-exhausted", data, lines)
-        return 2
-    _emit(args, "ok", data, lines)
-    return 0
+        return _emit(args, "fuel-exhausted", data, lines)
+    return _emit(args, "ok", data, lines)
 
 
 def _cmd_dc(args) -> int:
@@ -257,16 +259,14 @@ def _cmd_check_tmi(args) -> int:
             "certificate": {"kind": "upper-bound", "degree": degree},
             "rules": [format_rule(r) for r in problem.trs.rules],
         }
-        _emit(args, "ok", data, lines)
-        return 0
+        return _emit(args, "ok", data, lines)
     lines = [f"check failed: {verdict.failure}"]
     data = {"failure": verdict.failure}
     if verdict.failing_rule_index is not None:
         rule = problem.trs.rules[verdict.failing_rule_index]
         lines.append(f"rule {verdict.failing_rule_index + 1}: {format_rule(rule)}")
         data["rule"] = format_rule(rule)
-    _emit(args, "refuted", data, lines)
-    return 1
+    return _emit(args, "refuted", data, lines)
 
 
 def _cmd_search_tmi(args) -> int:
@@ -274,10 +274,9 @@ def _cmd_search_tmi(args) -> int:
     try:
         interp = search_tmi(problem.trs, args.dim, args.max_coeff, args.budget)
     except SearchBudgetExhausted as e:
-        _emit(args, "budget-exhausted", {"attempts": e.attempts}, [str(e)])
-        return 2
+        return _emit(args, "budget-exhausted", {"attempts": e.attempts}, [str(e)])
     if interp is None:
-        _emit(
+        return _emit(
             args,
             "refuted",
             {},
@@ -286,10 +285,8 @@ def _cmd_search_tmi(args) -> int:
                 f" with coefficients up to {args.max_coeff}"
             ],
         )
-        return 1
     text = format_tmi(interp)
-    _emit(args, "ok", {"degree": args.dim, "tmi": text}, text.splitlines())
-    return 0
+    return _emit(args, "ok", {"degree": args.dim, "tmi": text}, text.splitlines())
 
 
 def _report_output(args, report: VerificationReport) -> int:
@@ -318,41 +315,34 @@ def _report_output(args, report: VerificationReport) -> int:
     }
     if report.failures:
         lines.append("refuted")
-        _emit(args, "refuted", data, lines)
-        return 1
+        return _emit(args, "refuted", data, lines)
     if report.vacuous:
         lines.append("vacuous: no instances checked")
-        _emit(args, "vacuous", data, lines)
-        return 2
+        return _emit(args, "vacuous", data, lines)
     if report.exhausted:
         lines.append("undecided: some instances ran out of fuel")
-        _emit(args, "undecided", data, lines)
-        return 2
+        return _emit(args, "undecided", data, lines)
     lines.append("holds")
-    _emit(args, "ok", data, lines)
-    return 0
+    return _emit(args, "ok", data, lines)
 
 
 def _cmd_verify(args) -> int:
     problem = _load_problem(args.file)
     trs = problem.trs
     if args.property == "innermost-loop":
-        witness = detect_innermost_nontermination(
+        outcome = detect_innermost_nontermination(
             trs, args.max_size, args.fuel, args.max_vars
         )
-        if witness is None:
-            _emit(args, "ok", {"loop": None},
-                  [f"no loop found up to size {args.max_size}"])
-            return 0
-        _emit(args, "loop", {"loop": _witness_data(witness)},
-              ["innermost loop found"] + _witness_lines(witness))
-        return 1
-    if args.property == "uncurried-step":
-        report = verify_uncurried_step(trs, args.max_size, args.fuel)
-    elif args.property == "ri-sim":
-        report = verify_rightmost_simulation(trs, args.max_size, args.fuel)
-    elif args.property == "nf-preservation":
-        report = verify_nf_preservation(trs, args.max_size, args.fuel)
+        if isinstance(outcome, LoopDetected):
+            return _emit(args, "loop", {"loop": _witness_data(outcome.witness)},
+                         ["innermost loop found"] + _witness_lines(outcome.witness))
+        if isinstance(outcome, FuelExhausted):
+            return _emit(args, "undecided", {"loop": None},
+                         ["undecided: some start terms ran out of fuel"])
+        return _emit(args, "ok", {"loop": None},
+                     [f"no loop found up to size {args.max_size}"])
+    if args.property in _ORACLES:
+        report = _ORACLES[args.property](trs, args.max_size, args.fuel)
     else:
         ctx = detect_atrs(trs, app_hint=problem.app_hint)
         report = verify_subterm_commutation(ctx, args.max_size, args.fuel)
@@ -427,17 +417,13 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--property",
         required=True,
-        choices=[
-            "uncurried-step",
-            "ri-sim",
-            "nf-preservation",
-            "subterm-commutation",
-            "innermost-loop",
-        ],
+        choices=[*_ORACLES, "subterm-commutation", "innermost-loop"],
     )
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--fuel", type=int, default=10000)
-    p.add_argument("--max-vars", type=int, default=2)
+    p.add_argument("--max-vars", type=int, default=2,
+                   help="most distinct variables per start term; only"
+                   " innermost-loop reads it")
     return parser
 
 

@@ -21,7 +21,7 @@ from .rewriting import (
     redexes,
     successors,
 )
-from .terms import Fun, Symbol, Term, Trs, Var, term_sort_key
+from .terms import Fun, Symbol, Term, Trs, subterms, term_sort_key
 from .uncurrying import AtrsContext, transform, uncurry_nf, uncurrying_system
 
 # Closures of the uncurrying rules alone are small (the system is terminating
@@ -83,9 +83,12 @@ def verify_uncurried_step(trs: Trs, max_size: int, fuel: int) -> VerificationRep
     failures: list[Failure] = []
     exhausted: list[Exhausted] = []
     for s in enumerate_terms(trs.signature, max_size):
-        for t in successors(trs, s, StrategyKind.FULL):
+        targets = successors(trs, s, StrategyKind.FULL)
+        if not targets:
+            continue
+        us = uncurry_nf(ctx, s)
+        for t in targets:
             checked += 1
-            us = uncurry_nf(ctx, s)
             ut = uncurry_nf(ctx, t)
             try:
                 if ut not in reach.plus(us):
@@ -216,17 +219,7 @@ def verify_subterm_commutation(
 
 def _proper_subterms(t: Term) -> list[Term]:
     """Distinct proper subterms, outermost first."""
-    if isinstance(t, Var) or not t.args:
-        return []
-    out: dict[Term, None] = {}
-    stack = list(reversed(t.args))
-    while stack:
-        s = stack.pop()
-        if s not in out:
-            out[s] = None
-            if isinstance(s, Fun):
-                stack.extend(reversed(s.args))
-    return list(out)
+    return list(dict.fromkeys(subterms(t)))[1:]
 
 
 def verify_innermost_weakening_fails() -> VerificationReport:

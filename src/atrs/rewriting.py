@@ -163,14 +163,6 @@ def redexes(trs: Trs, t: Term, kind: StrategyKind) -> list[RewriteStep]:
     return list(_strategy_steps(trs, t, kind))
 
 
-def rightmost_innermost_position(trs: Trs, t: Term) -> Position | None:
-    """The unique innermost redex position with no redex to its right."""
-    inner = _innermost_steps(trs, t)
-    if not inner:
-        return None
-    return max(st.position for st in inner)
-
-
 def successors(trs: Trs, t: Term, kind: StrategyKind) -> list[Term]:
     """Distinct one-step results from t, in step order."""
     return list(dict.fromkeys(st.result for st in _strategy_steps(trs, t, kind)))
@@ -414,21 +406,25 @@ class RelativeHeightSearch(HeightSearch):
 
 def detect_innermost_nontermination(
     trs: Trs, max_term_size: int, fuel: int, max_vars: int = 2
-) -> LoopWitness | None:
+) -> FuelOutcome:
     """Search enumerated start terms for an innermost cycle.
 
     Terms of size up to max_term_size over the system's signature are tried
-    in enumeration order; each reachability search explores at most fuel
-    distinct terms.  Returns the first innermost cycle found, or None when
-    none was found at this scale (which is no proof of termination).
+    in enumeration order; each height search explores at most fuel distinct
+    terms.  Returns LoopDetected with the first innermost cycle found;
+    otherwise FuelExhausted if some start term ran out of fuel, else
+    Finished(number of start terms), which is no proof of termination.
     """
     from .complexity import enumerate_terms
 
     search = strategy_search(trs, StrategyKind.INNERMOST)
-    for t in enumerate_terms(trs.signature, max_term_size, max_vars):
+    terms = enumerate_terms(trs.signature, max_term_size, max_vars)
+    exhausted, count = False, 0
+    for count, t in enumerate(terms, 1):
         if t in search.memo:
             continue
         outcome = search.height(t, fuel)
         if isinstance(outcome, LoopDetected):
-            return outcome.witness
-    return None
+            return outcome
+        exhausted = exhausted or isinstance(outcome, FuelExhausted)
+    return FuelExhausted() if exhausted else Finished(count)

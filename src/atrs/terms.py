@@ -4,11 +4,14 @@ Terms are immutable and interned: constructing the same variable or the same
 application of a symbol to the same arguments always yields the same object,
 with hash and size cached at construction.  This keeps memo tables over terms
 amortized O(1) per distinct term, which the derivation-height and complexity
-machinery relies on.
+machinery relies on.  Unpickling and deepcopy rebuild a term through its
+constructor (see __reduce__), so they return the interned object too, and
+term equality is identity.  Symbols are not interned and compare by value.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -55,9 +58,6 @@ class Var:
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Var) and other.name == self.name)
-
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
 
@@ -90,14 +90,6 @@ class Fun:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, Fun)
-            and other._hash == self._hash
-            and other.symbol == self.symbol
-            and other.args == self.args
-        )
 
     def __repr__(self) -> str:
         if not self.args:
@@ -192,27 +184,11 @@ def parallel(p: Position, q: Position) -> bool:
 
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names of t in order of first occurrence (left to right)."""
-    seen: dict[str, None] = {}
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Var):
-            seen.setdefault(s.name, None)
-        else:
-            stack.extend(reversed(s.args))
-    return tuple(seen)
+    return tuple(dict.fromkeys(s.name for s in subterms(t) if isinstance(s, Var)))
 
 
-def variable_counts(t: Term) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Var):
-            counts[s.name] = counts.get(s.name, 0) + 1
-        else:
-            stack.extend(s.args)
-    return counts
+def variable_counts(t: Term) -> Counter[str]:
+    return Counter(s.name for s in subterms(t) if isinstance(s, Var))
 
 
 def substitute(t: Term, sigma: Substitution) -> Term:

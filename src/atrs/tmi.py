@@ -362,41 +362,30 @@ def search_tmi(
         for sym in term_symbols(rule.lhs) | term_symbols(rule.rhs):
             touching[sym].append(rule)
 
-    # each symbol's entries as one flat list: its matrices row by row, in
-    # argument order, then its vector; low and high hold every open entry
-    # at its smallest and its largest value, and agree on assigned ones
-    size = dim * dim
-    mat_low = [1] + [0] * (size - 1)
+    # each symbol's matrices and vector as mutable rows, which the search
+    # writes in place and _linearize reads; lows holds every open entry at its
+    # smallest and highs at its largest value, and they agree on assigned ones
+    mat_low = [[int(r == c == 0) for c in range(dim)] for r in range(dim)]
     mat_high = [
-        1 if r == c else coeff_bound if c > r else 0
+        [1 if r == c else coeff_bound if c > r else 0 for c in range(dim)]
         for r in range(dim)
-        for c in range(dim)
     ]
-    low: dict[Symbol, list[int]] = {}
-    high: dict[Symbol, list[int]] = {}
-    # (symbol, offset into its flat list, largest value) per open entry,
-    # in branching order
-    slots: list[tuple[Symbol, int, int]] = []
+    lows: dict[Symbol, tuple[list, list[int]]] = {}
+    highs: dict[Symbol, tuple[list, list[int]]] = {}
+    # (rules using the symbol, low row, high row, column, largest value) per
+    # open entry, in branching order
+    slots: list[tuple[list[Rule], list[int], list[int], int, int]] = []
     for sym in symbols:
-        low[sym] = mat_low * sym.arity + [0] * dim
-        high[sym] = mat_high * sym.arity + [coeff_bound] * dim
-        order = [a * size + i for a in reversed(range(sym.arity)) for i in range(size)]
-        order += range(sym.arity * size, sym.arity * size + dim)
+        args = range(sym.arity)
+        lows[sym] = [[r[:] for r in mat_low] for _ in args], [0] * dim
+        highs[sym] = [[r[:] for r in mat_high] for _ in args], [coeff_bound] * dim
+        (low_mats, low_vec), (high_mats, high_vec) = lows[sym], highs[sym]
+        rows = [row for a in reversed(args) for row in zip(low_mats[a], high_mats[a])]
+        rows.append((low_vec, high_vec))
         slots.extend(
-            (sym, i, high[sym][i]) for i in order if high[sym][i] > low[sym][i]
+            (touching[sym], lo, hi, c, hi[c])
+            for lo, hi in rows for c in range(dim) if hi[c] > lo[c]
         )
-
-    def unflatten(sym: Symbol, flat: list[int]) -> SymbolInterp:
-        rows = [tuple(flat[i : i + dim]) for i in range(0, len(flat), dim)]
-        mats = tuple(tuple(rows[a * dim : (a + 1) * dim]) for a in range(sym.arity))
-        return mats, rows[-1]
-
-    lows = {sym: unflatten(sym, low[sym]) for sym in symbols}
-    highs = {sym: unflatten(sym, high[sym]) for sym in symbols}
-
-    def put(sym: Symbol, offset: int, smallest: int, largest: int) -> None:
-        low[sym][offset], high[sym][offset] = smallest, largest
-        lows[sym], highs[sym] = unflatten(sym, low[sym]), unflatten(sym, high[sym])
 
     def orientable(rule: Rule) -> bool:
         left = _linearize(highs, dim, rule.lhs)
@@ -414,11 +403,11 @@ def search_tmi(
     attempts = 0
     k = 0
     while k < len(slots):
-        sym, offset, top = slots[k]
+        rules, low, high, c, top = slots[k]
         value = chosen[k] + 1
         if value > top:
             chosen[k] = -1
-            put(sym, offset, 0, top)
+            low[c], high[c] = 0, top
             k -= 1
             if k < 0:
                 return None
@@ -426,12 +415,14 @@ def search_tmi(
         attempts += 1
         if attempts > budget:
             raise SearchBudgetExhausted(attempts)
-        chosen[k] = value
-        put(sym, offset, value, value)
-        if all(orientable(rule) for rule in touching[sym]):
+        chosen[k] = low[c] = high[c] = value
+        if all(orientable(rule) for rule in rules):
             k += 1
 
-    found = MatrixInterp(dim, lows)
+    found = MatrixInterp(dim, {
+        sym: (tuple(tuple(map(tuple, m)) for m in mats), tuple(vec))
+        for sym, (mats, vec) in lows.items()
+    })
     verdict = check_tmi(found, trs)
     if not verdict.ok:
         raise RuntimeError(

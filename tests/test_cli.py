@@ -357,6 +357,28 @@ def test_verify_innermost_loop_pair(capsys, tmp_path):
     assert "f#1" in out
 
 
+def test_verify_innermost_loop_out_of_fuel_is_undecided(capsys, tmp_path):
+    f = tmp_path / "grow.trs"
+    f.write_text("(VAR x) (RULES f @ x -> f @ (s @ x))\n", encoding="utf-8")
+    code, out, _ = run(
+        capsys, "verify", str(f), "--property", "innermost-loop",
+        "--max-size", "3", "--fuel", "50",
+    )
+    assert code == 2
+    assert out == "undecided: some start terms ran out of fuel\n"
+    code, out, _ = run(
+        capsys, "verify", str(f), "--property", "innermost-loop",
+        "--max-size", "3", "--fuel", "50", "--json",
+    )
+    assert code == 2
+    assert json.loads(out)["status"] == "undecided"
+    code, _, _ = run(
+        capsys, "dc", str(f), "--strategy", "innermost",
+        "--max-size", "3", "--fuel", "50",
+    )
+    assert code == 2
+
+
 def test_verify_other_properties_hold_on_samples(capsys):
     for prop in ("ri-sim", "nf-preservation", "subterm-commutation"):
         code, out, _ = run(

@@ -20,7 +20,6 @@ from atrs.rewriting import (
     reachable,
     redexes,
     relative_successors,
-    rightmost_innermost_position,
     RelativeHeightSearch,
     strategy_search,
     successors,
@@ -77,8 +76,8 @@ def test_strategies_pick_different_redexes():
     ga = term_in(trs, "g @ a")
     assert {st.position for st in redexes(trs, ga, FULL)} == {(), (2,)}
     assert {st.position for st in redexes(trs, ga, INNER)} == {(2,)}
-    assert rightmost_innermost_position(trs, ga) == (2,)
-    assert rightmost_innermost_position(trs, term_in(trs, "h")) is None
+    assert [st.position for st in redexes(trs, ga, RI)] == [(2,)]
+    assert redexes(trs, term_in(trs, "h"), RI) == []
 
 
 def test_rightmost_means_lexicographically_greatest_position():
@@ -86,7 +85,7 @@ def test_rightmost_means_lexicographically_greatest_position():
     t = term_in(trs, "(a @ a) @ a")
     inner = {st.position for st in redexes(trs, t, INNER)}
     assert inner == {(1, 1), (1, 2), (2,)}
-    assert rightmost_innermost_position(trs, t) == (2,)
+    assert [st.position for st in redexes(trs, t, RI)] == [(2,)]
 
 
 def test_successors_are_distinct_and_in_step_order():
@@ -299,12 +298,16 @@ def test_relative_height_fuel_exhaustion_from_the_closure():
 
 def test_innermost_nontermination_detector():
     looping = transform(systems.head_loop()).combined
-    witness = detect_innermost_nontermination(looping, 4, 500)
-    assert witness is not None
-    replay(looping, witness, INNER)
+    outcome = detect_innermost_nontermination(looping, 4, 500)
+    assert isinstance(outcome, LoopDetected)
+    replay(looping, outcome.witness, INNER)
 
     terminating = transform(systems.head_switch()).combined
-    assert detect_innermost_nontermination(terminating, 5, 500) is None
+    outcome = detect_innermost_nontermination(terminating, 5, 500)
+    assert outcome == Finished(len(list(enumerate_terms(terminating.signature, 5))))
+
+    growing = trs_of("(VAR x) (RULES f @ x -> f @ (s @ x))")
+    assert detect_innermost_nontermination(growing, 3, 50) == FuelExhausted()
 
 
 def test_innermost_and_rightmost_heights_agree_pointwise():

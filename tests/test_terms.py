@@ -1,3 +1,4 @@
+import copy
 import pickle
 from pathlib import Path
 
@@ -193,6 +194,15 @@ def test_symbol_hash_order_and_pickle_match_its_fields():
     assert repr(a) == "add/2"
     back = pickle.loads(pickle.dumps(a))
     assert back == a and hash(back) == hash(a) and repr(back) == "add/2"
+
+
+def test_interned_terms_are_their_own_copies():
+    nested = Fun(F, (Fun(G, (X,)), Fun(A)))
+    for t in (X, nested):
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.deepcopy(t) is t
+    assert Var("x") is X
+    assert Fun(F, (Fun(G, (Var("x"),)), Fun(A))) is nested
 
 
 def test_is_normal_form():
