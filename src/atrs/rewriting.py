@@ -1,7 +1,8 @@
 """Rewriting under full, innermost, and rightmost-innermost strategies.
 
-Step computation is memoized per (system, term) over interned terms, so
-repeated reachability and height searches touch each distinct term once.
+The step tables memoize one-step results per (system, term) over interned
+terms, so repeated searches touch each distinct term once; redexes builds
+the step records, with position, rule and matcher, on demand.
 All searches are totalized by fuel: they finish, run out of fuel, or detect
 a loop and report it with a concrete witness.
 
@@ -48,7 +49,8 @@ class StrategyKind(Enum):
 
 @dataclass(eq=True)
 class RewriteStep:
-    """One rewrite step: rule rule_index applied with matcher at position."""
+    """One rewrite step: rule rule_index applied with matcher at position.
+    Only redexes builds these, on demand; the step tables hold results."""
 
     position: Position
     rule_index: int
@@ -88,32 +90,24 @@ class FuelExhaustedError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _root_steps(trs: Trs, t: Term) -> tuple[RewriteStep, ...]:
+def _root_steps(trs: Trs, t: Term) -> tuple[Term, ...]:
     out = []
-    for i, rule in enumerate(trs.rules):
+    for rule in trs.rules:
         sigma = match(rule.lhs, t)
         if sigma is not None:
-            out.append(RewriteStep((), i, sigma, substitute(rule.rhs, sigma)))
+            out.append(substitute(rule.rhs, sigma))
     return tuple(out)
 
 
-def _wrap(t: Fun, i: int, steps: Iterable[RewriteStep]) -> list[RewriteStep]:
-    """Lift steps in argument i+1 of t to steps in t."""
+def _wrap(t: Fun, i: int, results: Iterable[Term]) -> list[Term]:
+    """Lift results of steps in argument i+1 of t to results in t."""
     before, after = t.args[:i], t.args[i + 1 :]
-    return [
-        RewriteStep(
-            (i + 1,) + st.position,
-            st.rule_index,
-            st.matcher,
-            Fun(t.symbol, before + (st.result,) + after),
-        )
-        for st in steps
-    ]
+    return [Fun(t.symbol, before + (u,) + after) for u in results]
 
 
 @lru_cache(maxsize=None)
-def _full_steps(trs: Trs, t: Term) -> tuple[RewriteStep, ...]:
-    """All steps from t, in leftmost-outermost position order then rule order."""
+def _full_steps(trs: Trs, t: Term) -> tuple[Term, ...]:
+    """Results of all steps from t, leftmost-outermost, then by rule."""
     if isinstance(t, Var):
         return ()
     out = list(_root_steps(trs, t))
@@ -123,11 +117,11 @@ def _full_steps(trs: Trs, t: Term) -> tuple[RewriteStep, ...]:
 
 
 @lru_cache(maxsize=None)
-def _innermost_steps(trs: Trs, t: Term) -> tuple[RewriteStep, ...]:
-    """Steps contracting innermost redexes (all proper subterms normal)."""
+def _innermost_steps(trs: Trs, t: Term) -> tuple[Term, ...]:
+    """Results of steps at innermost redexes (all proper subterms normal)."""
     if isinstance(t, Var):
         return ()
-    inner: list[RewriteStep] = []
+    inner: list[Term] = []
     for i in range(len(t.args)):
         inner.extend(_wrap(t, i, _innermost_steps(trs, t.args[i])))
     if inner:
@@ -147,25 +141,42 @@ def is_normal_form_fast(trs: Trs, t: Term) -> bool:
     return not _innermost_steps(trs, t)
 
 
-def _strategy_steps(trs: Trs, t: Term, kind: StrategyKind) -> tuple[RewriteStep, ...]:
+def _strategy_steps(trs: Trs, t: Term, kind: StrategyKind) -> tuple[Term, ...]:
     if kind is StrategyKind.FULL:
         return _full_steps(trs, t)
-    inner = _innermost_steps(trs, t)
-    if kind is StrategyKind.INNERMOST or not inner:
-        return inner
-    rightmost = max(st.position for st in inner)
-    return tuple(st for st in inner if st.position == rightmost)
+    if kind is StrategyKind.INNERMOST:
+        return _innermost_steps(trs, t)
+    return tuple(st.result for st in redexes(trs, t, kind))
 
 
 def redexes(trs: Trs, t: Term, kind: StrategyKind) -> list[RewriteStep]:
     """The steps available from t under the strategy, sorted by position
-    (leftmost-outermost order) and rule index."""
-    return list(_strategy_steps(trs, t, kind))
+    (leftmost-outermost order) and rule index.  The step tables hold results
+    only; this builds the step records on demand, never entering a normal
+    subterm, and under rightmost-innermost only the last non-normal argument."""
+    found = []
+    todo = [] if is_normal_form_fast(trs, t) else [((), t)]
+    while todo:
+        p, s = todo.pop()
+        inner = [i for i, a in enumerate(s.args, 1) if not is_normal_form_fast(trs, a)]
+        if kind is StrategyKind.FULL or not inner:
+            for i, rule in enumerate(trs.rules):
+                sigma = match(rule.lhs, s)
+                if sigma is not None:
+                    found.append((p, i, sigma))
+        if kind is StrategyKind.RIGHTMOST_INNERMOST:
+            del inner[:-1]
+        for i in reversed(inner):
+            todo.append((p + (i,), s.args[i - 1]))
+    # the table lists these steps in this order; rightmost-innermost ones last
+    results = (_full_steps if kind is StrategyKind.FULL else _innermost_steps)(trs, t)
+    tail = results[len(results) - len(found) :]
+    return [RewriteStep(*st, u) for st, u in zip(found, tail, strict=True)]
 
 
 def successors(trs: Trs, t: Term, kind: StrategyKind) -> list[Term]:
     """Distinct one-step results from t, in step order."""
-    return list(dict.fromkeys(st.result for st in _strategy_steps(trs, t, kind)))
+    return list(dict.fromkeys(_strategy_steps(trs, t, kind)))
 
 
 class Closure:
@@ -195,8 +206,7 @@ class Closure:
         out = {t}
         todo = [t]
         while todo:
-            for st in _strategy_steps(trs, todo.pop(), kind):
-                u = st.result
+            for u in _strategy_steps(trs, todo.pop(), kind):
                 if u not in out:
                     done = memo.get(u)
                     if done is None:
@@ -212,8 +222,8 @@ class Closure:
     def plus(self, t: Term) -> set[Term]:
         """Terms reachable from t in one or more steps."""
         out: set[Term] = set()
-        for st in _strategy_steps(self.trs, t, self.kind):
-            out |= self.star(st.result)
+        for u in _strategy_steps(self.trs, t, self.kind):
+            out |= self.star(u)
         return out
 
 
@@ -234,10 +244,10 @@ def relative_successors(main: Trs, modulo: Trs, t: Term, fuel: int) -> list[Term
     star = Closure(modulo, StrategyKind.FULL, fuel).star
     post: set[Term] = set()
     for a in star(t):
-        for st in _full_steps(main, a):
+        for u in _full_steps(main, a):
             # post is closed under modulo steps, so a member adds nothing
-            if st.result not in post:
-                post |= star(st.result)
+            if u not in post:
+                post |= star(u)
     return sorted(post, key=term_sort_key)
 
 
@@ -285,8 +295,7 @@ class HeightSearch:
         self.memo: dict[Term, int] = {}
 
     def _successors(self, t: Term) -> tuple[Term, ...]:
-        steps = _strategy_steps(self.trs, t, self.kind)
-        return tuple(dict.fromkeys(st.result for st in steps))
+        return tuple(dict.fromkeys(_strategy_steps(self.trs, t, self.kind)))
 
     def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:
         """The steps along cycle[0] -> cycle[1] -> ... -> cycle[0], taking
@@ -294,7 +303,7 @@ class HeightSearch:
         return tuple(
             next(
                 st
-                for st in reversed(_strategy_steps(self.trs, a, self.kind))
+                for st in reversed(redexes(self.trs, a, self.kind))
                 if st.result == b
             )
             for a, b in zip(cycle, cycle[1:] + cycle[:1])
@@ -389,7 +398,7 @@ class RelativeHeightSearch(HeightSearch):
         frontier = deque([root])
         while frontier:
             key = frontier.popleft()
-            for st in _full_steps(self.combined, key[0]):
+            for st in redexes(self.combined, key[0], StrategyKind.FULL):
                 counted = key[1] or st.rule_index < n_main
                 if st.result == start and counted:
                     trace = [st]

@@ -189,16 +189,11 @@ def detect_atrs(trs: Trs, app_hint: str | None = None) -> AtrsContext:
 
 def applicative_arity_of_term(ctx: AtrsContext, t: Term) -> int | None:
     """aa(t), or None when the head is a variable or the arity runs out."""
-    if isinstance(t, Var):
+    head, args = spine(ctx.app, t)
+    if not isinstance(head, Fun) or head.symbol not in ctx.constants:
         return None
-    if t.symbol == ctx.app:
-        left = applicative_arity_of_term(ctx, t.args[0])
-        if left is None or left == 0:
-            return None
-        return left - 1
-    if t.symbol in ctx.constants:
-        return ctx.aa.get(t.symbol.name, 0)
-    return None
+    k = ctx.aa.get(head.symbol.name, 0) - len(args)
+    return k if k >= 0 else None
 
 
 def is_head_variable_free(ctx: AtrsContext, t: Term) -> bool:
@@ -337,11 +332,7 @@ def eta_saturate(ctx: AtrsContext, trs: Trs) -> Trs:
 
 
 def uncurried_trs(ctx: AtrsContext, trs: Trs) -> Trs:
-    """The rules of trs with both sides in uncurrying normal form."""
-    if not is_left_head_variable_free(ctx, trs):
-        raise NotLeftHeadVariableFreeError(
-            "uncurrying needs applicative arities on all left-hand sides"
-        )
+    """The rules of trs, whose lhss apply no variable, in uncurrying normal form."""
     rules = [
         Rule(uncurry_nf(ctx, r.lhs), uncurry_nf(ctx, r.rhs)) for r in trs.rules
     ]

@@ -1,6 +1,7 @@
 from collections import deque
 
 import pytest
+import reference
 
 from atrs import systems
 from atrs.complexity import enumerate_terms
@@ -86,6 +87,19 @@ def test_rightmost_means_lexicographically_greatest_position():
     inner = {st.position for st in redexes(trs, t, INNER)}
     assert inner == {(1, 1), (1, 2), (2,)}
     assert [st.position for st in redexes(trs, t, RI)] == [(2,)]
+
+
+@pytest.mark.parametrize("name", sorted(systems.SOURCES))
+def test_steps_agree_with_the_memo_free_reference(name):
+    source = systems.system(name)
+    for trs in (source, transform(source).combined):
+        for t in enumerate_terms(trs.signature, 5):
+            for kind in (FULL, INNER, RI):
+                want = reference.steps(trs, t, kind)
+                assert redexes(trs, t, kind) == want, (t, kind)
+                assert successors(trs, t, kind) == reference.successors(
+                    trs, t, kind
+                ), (t, kind)
 
 
 def test_successors_are_distinct_and_in_step_order():
