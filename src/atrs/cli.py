@@ -40,7 +40,6 @@ from .rewriting import (
     StrategyKind,
     detect_innermost_nontermination,
     normalize,
-    redexes,
     derivation_height,
     successors,
 )
@@ -174,14 +173,15 @@ def _cmd_rewrite(args) -> int:
         return _emit(args, "fuel-exhausted", {"fuel": args.fuel},
                      [f"fuel exhausted after {args.fuel} steps"])
     if args.steps is not None:
+        if args.steps < 0:
+            raise _UsageError("--steps must not be negative")
         trace = [format_term(t)]
-        current = t
         for _ in range(args.steps):
-            steps = redexes(trs, current, kind)
-            if not steps:
+            results = successors(trs, t, kind)
+            if not results:
                 break
-            current = steps[0].result
-            trace.append(f"-> {format_term(current)}")
+            t = results[0]
+            trace.append(f"-> {format_term(t)}")
         return _emit(args, "ok", {"trace": trace}, trace)
     result = [format_term(u) for u in successors(trs, t, kind)]
     return _emit(args, "ok", {"successors": result}, result or ["normal form"])

@@ -77,6 +77,8 @@ def enumerate_terms(
     Variables are named canonically in order of first occurrence, so distinct
     listed terms are distinct modulo renaming.
     """
+    if max_vars < 0:
+        raise ValueError("max_vars must not be negative")
     return [
         t
         for size in range(1, max_size + 1)
@@ -121,6 +123,8 @@ def _fill_table(
     max_size: int,
     max_vars: int,
 ) -> ComplexityTable:
+    if max_vars < 0:
+        raise ValueError("max_vars must not be negative")
     best = 0
     witness: Term | None = None
     for n in range(1, max_size + 1):

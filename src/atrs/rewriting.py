@@ -1,8 +1,8 @@
 """Rewriting under full, innermost, and rightmost-innermost strategies.
 
-The step tables memoize one-step results per (system, term) over interned
-terms, so repeated searches touch each distinct term once; redexes builds
-the step records, with position, rule and matcher, on demand.
+There is one step table per strategy, memoizing one-step results per
+(system, term) over interned terms; redexes builds step records, with
+position, rule and matcher, only for loop witnesses and the ri-sim oracle.
 All searches are totalized by fuel: they finish, run out of fuel, or detect
 a loop and report it with a concrete witness.
 
@@ -49,8 +49,7 @@ class StrategyKind(Enum):
 
 @dataclass(eq=True)
 class RewriteStep:
-    """One rewrite step: rule rule_index applied with matcher at position.
-    Only redexes builds these, on demand; the step tables hold results."""
+    """One rewrite step: rule rule_index applied with matcher at position."""
 
     position: Position
     rule_index: int
@@ -129,11 +128,29 @@ def _innermost_steps(trs: Trs, t: Term) -> tuple[Term, ...]:
     return _root_steps(trs, t)
 
 
+@lru_cache(maxsize=None)
+def _ri_steps(trs: Trs, t: Term) -> tuple[Term, ...]:
+    """Results of steps at the rightmost innermost redex."""
+    if isinstance(t, Var):
+        return ()
+    for i in reversed(range(len(t.args))):
+        inner = _ri_steps(trs, t.args[i])
+        if inner:
+            return tuple(_wrap(t, i, inner))
+    return _root_steps(trs, t)
+
+
+_TABLES = {
+    StrategyKind.FULL: _full_steps,
+    StrategyKind.INNERMOST: _innermost_steps,
+    StrategyKind.RIGHTMOST_INNERMOST: _ri_steps,
+}
+
+
 def clear_caches() -> None:
     """Drop the per-(system, term) step caches."""
-    _root_steps.cache_clear()
-    _full_steps.cache_clear()
-    _innermost_steps.cache_clear()
+    for table in (_root_steps, *_TABLES.values()):
+        table.cache_clear()
 
 
 def is_normal_form_fast(trs: Trs, t: Term) -> bool:
@@ -141,24 +158,18 @@ def is_normal_form_fast(trs: Trs, t: Term) -> bool:
     return not _innermost_steps(trs, t)
 
 
-def _strategy_steps(trs: Trs, t: Term, kind: StrategyKind) -> tuple[Term, ...]:
-    if kind is StrategyKind.FULL:
-        return _full_steps(trs, t)
-    if kind is StrategyKind.INNERMOST:
-        return _innermost_steps(trs, t)
-    return tuple(st.result for st in redexes(trs, t, kind))
-
-
 def redexes(trs: Trs, t: Term, kind: StrategyKind) -> list[RewriteStep]:
     """The steps available from t under the strategy, sorted by position
-    (leftmost-outermost order) and rule index.  The step tables hold results
-    only; this builds the step records on demand, never entering a normal
-    subterm, and under rightmost-innermost only the last non-normal argument."""
+    (leftmost-outermost order) and rule index, for loop witnesses and ri-sim.
+    The walk enters only subterms whose step table is not empty, and under
+    rightmost-innermost only the last such argument."""
+    steps = _TABLES[kind]
+    results = steps(trs, t)
     found = []
-    todo = [] if is_normal_form_fast(trs, t) else [((), t)]
+    todo = [((), t)] if results else []
     while todo:
         p, s = todo.pop()
-        inner = [i for i, a in enumerate(s.args, 1) if not is_normal_form_fast(trs, a)]
+        inner = [i for i, a in enumerate(s.args, 1) if steps(trs, a)]
         if kind is StrategyKind.FULL or not inner:
             for i, rule in enumerate(trs.rules):
                 sigma = match(rule.lhs, s)
@@ -168,15 +179,12 @@ def redexes(trs: Trs, t: Term, kind: StrategyKind) -> list[RewriteStep]:
             del inner[:-1]
         for i in reversed(inner):
             todo.append((p + (i,), s.args[i - 1]))
-    # the table lists these steps in this order; rightmost-innermost ones last
-    results = (_full_steps if kind is StrategyKind.FULL else _innermost_steps)(trs, t)
-    tail = results[len(results) - len(found) :]
-    return [RewriteStep(*st, u) for st, u in zip(found, tail, strict=True)]
+    return [RewriteStep(*st, u) for st, u in zip(found, results, strict=True)]
 
 
 def successors(trs: Trs, t: Term, kind: StrategyKind) -> list[Term]:
     """Distinct one-step results from t, in step order."""
-    return list(dict.fromkeys(_strategy_steps(trs, t, kind)))
+    return list(dict.fromkeys(_TABLES[kind](trs, t)))
 
 
 class Closure:
@@ -202,11 +210,11 @@ class Closure:
         out = memo.get(t)
         if out is not None:
             return out
-        trs, kind, fuel = self.trs, self.kind, self.fuel
+        trs, steps, fuel = self.trs, _TABLES[self.kind], self.fuel
         out = {t}
         todo = [t]
         while todo:
-            for u in _strategy_steps(trs, todo.pop(), kind):
+            for u in steps(trs, todo.pop()):
                 if u not in out:
                     done = memo.get(u)
                     if done is None:
@@ -222,7 +230,7 @@ class Closure:
     def plus(self, t: Term) -> set[Term]:
         """Terms reachable from t in one or more steps."""
         out: set[Term] = set()
-        for u in _strategy_steps(self.trs, t, self.kind):
+        for u in _TABLES[self.kind](self.trs, t):
             out |= self.star(u)
         return out
 
@@ -259,22 +267,20 @@ def normalize(trs: Trs, t: Term, kind: StrategyKind, fuel: int) -> FuelOutcome:
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    steps = _TABLES[kind]
     seen_at = {t: 0}
-    trace: list[RewriteStep] = []
-    current = t
     for _ in range(fuel):
-        steps = redexes(trs, current, kind)
-        if not steps:
-            return Finished(current)
-        st = steps[0]
-        trace.append(st)
-        current = st.result
-        if current in seen_at:
-            j = seen_at[current]
-            return LoopDetected(LoopWitness(current, tuple(trace[j:])))
-        seen_at[current] = len(trace)
-    if not redexes(trs, current, kind):
-        return Finished(current)
+        results = steps(trs, t)
+        if not results:
+            return Finished(t)
+        t = results[0]
+        if t in seen_at:
+            cycle = list(seen_at)[seen_at[t] :]
+            trace = tuple(redexes(trs, a, kind)[0] for a in cycle)
+            return LoopDetected(LoopWitness(t, trace))
+        seen_at[t] = len(seen_at)
+    if not steps(trs, t):
+        return Finished(t)
     return FuelExhausted()
 
 
@@ -295,7 +301,7 @@ class HeightSearch:
         self.memo: dict[Term, int] = {}
 
     def _successors(self, t: Term) -> tuple[Term, ...]:
-        return tuple(dict.fromkeys(_strategy_steps(self.trs, t, self.kind)))
+        return tuple(dict.fromkeys(_TABLES[self.kind](self.trs, t)))
 
     def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:
         """The steps along cycle[0] -> cycle[1] -> ... -> cycle[0], taking

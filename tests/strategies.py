@@ -1,0 +1,58 @@
+"""Hypothesis strategies for small rewrite systems.
+
+first_order_systems draws 2-4 symbols of arity at most 2, one of them a
+constant; applicative_systems draws 2-4 constants and the binary symbol
+app.  Each system has 1-4 rules.  A left-hand side is not a variable, has
+depth at most 3 and may repeat its variables; a right-hand side uses only
+the variables of its left-hand side.  Every drawn symbol is in the
+signature, even when no rule uses it.
+"""
+
+from __future__ import annotations
+
+from hypothesis import strategies as st
+
+from atrs.terms import Fun, Rule, Symbol, Trs, Var, variables
+
+_NAMES = "abcd"
+_VARS = ("x", "y")
+
+
+def _terms(symbols: tuple[Symbol, ...], names, depth: int):
+    """Terms of depth at most depth over symbols and the named variables."""
+    leaves = [Fun(f) for f in symbols if f.arity == 0] + [Var(n) for n in names]
+    leaf = st.sampled_from(leaves)
+    heads = [f for f in symbols if f.arity > 0]
+    if depth == 0 or not heads:
+        return leaf
+    below = _terms(symbols, names, depth - 1)
+    node = st.sampled_from(heads).flatmap(
+        lambda f: st.tuples(*[below] * f.arity).map(lambda args: Fun(f, args))
+    )
+    return st.one_of(leaf, node)
+
+
+@st.composite
+def _rules(draw, symbols: tuple[Symbol, ...]):
+    lhs = draw(_terms(symbols, _VARS, 3).filter(lambda t: isinstance(t, Fun)))
+    return Rule(lhs, draw(_terms(symbols, variables(lhs), 3)))
+
+
+def _systems(symbols: tuple[Symbol, ...]):
+    return st.lists(_rules(symbols), min_size=1, max_size=4).map(
+        lambda rules: Trs(rules, extra_signature=symbols)
+    )
+
+
+@st.composite
+def first_order_systems(draw) -> Trs:
+    arities = [0] + draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    symbols = tuple(Symbol(n, k) for n, k in zip(_NAMES, arities))
+    return draw(_systems(symbols))
+
+
+@st.composite
+def applicative_systems(draw) -> Trs:
+    n = draw(st.integers(2, 4))
+    symbols = tuple(Symbol(c, 0) for c in _NAMES[:n]) + (Symbol("app", 2),)
+    return draw(_systems(symbols))

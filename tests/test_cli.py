@@ -194,6 +194,16 @@ def test_loop_witness_reports_the_last_step_sharing_a_result(capsys, tmp_path):
     }
 
 
+def test_rewrite_rejects_negative_steps(capsys):
+    code, out, err = run(capsys, "rewrite", ADD, "--term", "add @ 0 @ 0",
+                         "--steps", "-2")
+    assert (code, out) == (3, "")
+    assert "--steps must not be negative" in err
+    code, out, _ = run(capsys, "rewrite", ADD, "--term", "add @ 0 @ 0",
+                       "--steps", "0")
+    assert (code, out) == (0, "add @ 0 @ 0\n")
+
+
 def test_dc_table(capsys):
     code, out, _ = run(capsys, "dc", ADD, "--max-size", "5")
     assert code == 0
@@ -212,6 +222,17 @@ def test_dc_loop_abort(capsys):
     assert code == 1
     assert "loop at size 3, dc undefined" in out
     assert "dc(2) = 1" in out
+
+
+def test_dc_rejects_negative_max_vars(capsys):
+    for size in ("3", "0"):
+        code, out, err = run(capsys, "dc", ADD, "--max-size", size,
+                             "--max-vars", "-1")
+        assert (code, out) == (3, "")
+        assert "max_vars must not be negative" in err
+    code, out, _ = run(capsys, "dc", ADD, "--max-size", "3", "--max-vars", "0")
+    assert code == 0
+    assert "dc(3) = 0   witness: 0" in out
 
 
 def test_dc_relative(capsys, tmp_path):

@@ -2,9 +2,11 @@ from collections import deque
 
 import pytest
 import reference
+import strategies
+from hypothesis import given, settings
 
 from atrs import systems
-from atrs.complexity import enumerate_terms
+from atrs.complexity import dc_table, enumerate_terms
 from atrs.parsing import parse_term, parse_trs
 from atrs.rewriting import (
     Closure,
@@ -102,6 +104,27 @@ def test_steps_agree_with_the_memo_free_reference(name):
                 ), (t, kind)
 
 
+def _agrees_with_the_reference(trs):
+    for t in enumerate_terms(trs.signature, 4):
+        for kind in (FULL, INNER, RI):
+            assert redexes(trs, t, kind) == reference.steps(trs, t, kind), (t, kind)
+            assert successors(trs, t, kind) == reference.successors(
+                trs, t, kind
+            ), (t, kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.first_order_systems())
+def test_steps_on_random_first_order_systems_agree_with_the_reference(trs):
+    _agrees_with_the_reference(trs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.applicative_systems())
+def test_steps_on_random_applicative_systems_agree_with_the_reference(trs):
+    _agrees_with_the_reference(trs)
+
+
 def test_successors_are_distinct_and_in_step_order():
     trs = trs_of("(RULES f -> g  a -> b)")
     t = term_in(trs, "f @ a")
@@ -144,6 +167,25 @@ def test_normalize_runs_out_of_fuel_on_growing_terms():
     assert normalize(trs, term_in(trs, "c"), FULL, 10) == FuelExhausted()
     with pytest.raises(ValueError):
         normalize(trs, term_in(trs, "c"), FULL, 0)
+
+
+def test_search_paths_build_no_step_records(monkeypatch):
+    class NoRecords:
+        def __init__(self, *args):
+            raise AssertionError("a step record was built on a search path")
+
+    monkeypatch.setattr("atrs.rewriting.RewriteStep", NoRecords)
+    clear_caches()
+    trs = transform(systems.doubling()).combined
+    table = dc_table(trs, 6, RI, 10_000)
+    assert table.complete and table.rows[6].value > 0
+    t = table.rows[6].witness
+    assert len(Closure(trs, RI, 10_000).star(t)) > 1
+    assert successors(trs, t, RI)
+    add = systems.addition()
+    t = term_in(add, "add @ (s @ 0) @ (s @ 0)")
+    for kind in (FULL, INNER, RI):
+        assert normalize(add, t, kind, 100) == Finished(term_in(add, "s @ (s @ 0)"))
 
 
 def test_derivation_height_values():
