@@ -6,97 +6,7 @@ and rightmost-innermost strategies, tabulates derivation heights, and
 checks or searches triangular matrix interpretations as complexity
 certificates.  Bundled oracles re-verify the simulation properties the
 transformation relies on, at small scale, by exhaustive search.
+
+Names are imported from the modules that define them: terms, parsing,
+rewriting, complexity, uncurrying, tmi, oracles, systems and cli.
 """
-
-from .complexity import (
-    ComplexityTable,
-    DcRow,
-    dc_relative_table,
-    dc_table,
-    enumerate_terms,
-    terms_of_size,
-)
-from .oracles import (
-    VerificationReport,
-    verify_innermost_weakening_fails,
-    verify_nf_preservation,
-    verify_rightmost_simulation,
-    verify_subterm_commutation,
-    verify_uncurried_step,
-)
-from .parsing import (
-    InputProblem,
-    ParseError,
-    format_problem,
-    format_rule,
-    format_term,
-    format_tmi,
-    format_trs,
-    parse_term,
-    parse_tmi,
-    parse_trs,
-)
-from .rewriting import (
-    Finished,
-    FuelExhausted,
-    FuelOutcome,
-    LoopDetected,
-    LoopWitness,
-    RelativeHeightSearch,
-    RewriteStep,
-    StrategyKind,
-    derivation_height,
-    detect_innermost_nontermination,
-    normalize,
-    reachable,
-    redexes,
-    relative_successors,
-    successors,
-)
-from .terms import (
-    Fun,
-    Position,
-    Rule,
-    Symbol,
-    Term,
-    Trs,
-    Var,
-    match,
-    positions,
-    replace,
-    substitute,
-    subterm_at,
-    subterms,
-    variables,
-)
-from .tmi import (
-    Certificate,
-    InterpretationError,
-    MatrixInterp,
-    MissingSymbolError,
-    SearchBudgetExhausted,
-    TmiVerdict,
-    check_tmi,
-    evaluate,
-    is_monotone,
-    is_triangular,
-    linearize,
-    search_tmi,
-    strictly_oriented,
-)
-from .uncurrying import (
-    AtrsContext,
-    TransformResult,
-    curry_back,
-    curry_nf,
-    currying_system,
-    detect_atrs,
-    eta_saturate,
-    transform,
-    uncurry_nf,
-    uncurrying_system,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

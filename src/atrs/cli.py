@@ -14,7 +14,12 @@ import argparse
 import json
 import sys
 
-from .complexity import ComplexityTable, dc_relative_table, dc_table
+from .complexity import (
+    ComplexityTable,
+    dc_relative_table,
+    dc_table,
+    detect_innermost_nontermination,
+)
 from .oracles import (
     VerificationReport,
     verify_nf_preservation,
@@ -38,7 +43,6 @@ from .rewriting import (
     LoopDetected,
     LoopWitness,
     StrategyKind,
-    detect_innermost_nontermination,
     normalize,
     derivation_height,
     successors,

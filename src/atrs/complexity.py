@@ -4,6 +4,8 @@ dc(n) is the maximal derivation height over all terms of size at most n; the
 innermost variant restricts the rewrite strategy, the relative variant counts
 main-system steps modulo a second system.  Tables are computed by brute force
 over a canonical enumeration of terms, so they are exact at desk scale.
+The innermost-loop search walks the same enumeration looking for an
+innermost cycle.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from typing import Iterable, Iterator
 
 from .rewriting import (
     Finished,
+    FuelExhausted,
+    FuelOutcome,
     HeightSearch,
     LoopDetected,
     LoopWitness,
@@ -144,6 +148,30 @@ def _fill_table(
                 return table
         table.rows[n] = DcRow(best, witness)
     return table
+
+
+def detect_innermost_nontermination(
+    trs: Trs, max_term_size: int, fuel: int, max_vars: int = 2
+) -> FuelOutcome:
+    """Search enumerated start terms for an innermost cycle.
+
+    Terms of size up to max_term_size over the system's signature are tried
+    in enumeration order; each height search explores at most fuel distinct
+    terms.  Returns LoopDetected with the first innermost cycle found;
+    otherwise FuelExhausted if some start term ran out of fuel, else
+    Finished(number of start terms), which is no proof of termination.
+    """
+    search = strategy_search(trs, StrategyKind.INNERMOST)
+    terms = enumerate_terms(trs.signature, max_term_size, max_vars)
+    exhausted, count = False, 0
+    for count, t in enumerate(terms, 1):
+        if t in search.memo:
+            continue
+        outcome = search.height(t, fuel)
+        if isinstance(outcome, LoopDetected):
+            return outcome
+        exhausted = exhausted or isinstance(outcome, FuelExhausted)
+    return FuelExhausted() if exhausted else Finished(count)
 
 
 def dc_table(

@@ -417,29 +417,3 @@ class RelativeHeightSearch(HeightSearch):
                     came_from[nxt] = (key, st)
                     frontier.append(nxt)
         raise RuntimeError(f"no relative cycle through {start}")
-
-
-def detect_innermost_nontermination(
-    trs: Trs, max_term_size: int, fuel: int, max_vars: int = 2
-) -> FuelOutcome:
-    """Search enumerated start terms for an innermost cycle.
-
-    Terms of size up to max_term_size over the system's signature are tried
-    in enumeration order; each height search explores at most fuel distinct
-    terms.  Returns LoopDetected with the first innermost cycle found;
-    otherwise FuelExhausted if some start term ran out of fuel, else
-    Finished(number of start terms), which is no proof of termination.
-    """
-    from .complexity import enumerate_terms
-
-    search = strategy_search(trs, StrategyKind.INNERMOST)
-    terms = enumerate_terms(trs.signature, max_term_size, max_vars)
-    exhausted, count = False, 0
-    for count, t in enumerate(terms, 1):
-        if t in search.memo:
-            continue
-        outcome = search.height(t, fuel)
-        if isinstance(outcome, LoopDetected):
-            return outcome
-        exhausted = exhausted or isinstance(outcome, FuelExhausted)
-    return FuelExhausted() if exhausted else Finished(count)

@@ -12,7 +12,7 @@ Arithmetic is exact: plain Python integers, no overflow, no rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .terms import Rule, Symbol, Term, Trs, Var, term_symbols
@@ -179,37 +179,32 @@ def evaluate(interp: MatrixInterp, t: Term, assignment: Mapping[str, Vector]) ->
     return out
 
 
-@dataclass
-class OrientationReport:
-    """Whether one rule decreases strictly under the interpretation.
+def _orientation_failure(
+    high: Mapping[Symbol, SymbolInterp], low: Mapping[Symbol, SymbolInterp],
+    dim: int, rule: Rule,
+) -> str | None:
+    """Why [lhs] under high does not lie strictly above [rhs] under low for
+    every assignment of naturals, or None when it does.
 
-    variables maps each variable of the rule to whether its left coefficient
-    dominates its right coefficient componentwise; constant_ok records the
-    strict comparison of the constant parts.
+    check_tmi passes one interpretation as both; search_tmi passes the
+    largest and the smallest completion of a partial one.  The constant
+    parts are compared first, then the coefficients in variable name order.
     """
-
-    rule: Rule
-    ok: bool
-    constant_ok: bool
-    variables: dict[str, bool] = field(default_factory=dict)
-
-
-def orientation_report(interp: MatrixInterp, rule: Rule) -> OrientationReport:
-    dim = interp.dim
-    left = linearize(interp, rule.lhs)
-    right = linearize(interp, rule.rhs)
-    variables = {}
-    for name in {**left.coeffs, **right.coeffs}:
-        variables[name] = mat_ge(left.coeff(name, dim), right.coeff(name, dim))
-    constant_ok = vec_strict_gt(left.const, right.const)
-    ok = constant_ok and all(variables.values())
-    return OrientationReport(rule, ok, constant_ok, variables)
+    left = _linearize(high, dim, rule.lhs)
+    right = _linearize(low, dim, rule.rhs)
+    if not vec_strict_gt(left.const, right.const):
+        return "constant part does not decrease strictly"
+    for name in sorted(left.coeffs.keys() | right.coeffs.keys()):
+        if not mat_ge(left.coeff(name, dim), right.coeff(name, dim)):
+            return f"coefficient of {name} is not dominated"
+    return None
 
 
 def strictly_oriented(interp: MatrixInterp, rule: Rule) -> bool:
     """True iff [lhs] > [rhs] holds for every assignment of naturals, decided
     by componentwise comparison of coefficients and constants."""
-    return orientation_report(interp, rule).ok
+    entries = interp.entries
+    return _orientation_failure(entries, entries, interp.dim, rule) is None
 
 
 def _monotonicity_violation(interp: MatrixInterp) -> tuple[Symbol, int] | None:
@@ -256,15 +251,13 @@ class TmiVerdict:
 
     On success, certificate bounds the derivational complexity.  On failure,
     failure says which condition broke first and failing_rule_index names the
-    rule when the condition was an orientation.  reports carries the per-rule
-    orientation evidence whenever all symbols were covered.
+    rule when the condition was an orientation.
     """
 
     ok: bool
     certificate: Certificate | None = None
     failure: str | None = None
     failing_rule_index: int | None = None
-    reports: tuple[OrientationReport, ...] = ()
 
 
 def check_tmi(interp: MatrixInterp, trs: Trs) -> TmiVerdict:
@@ -288,23 +281,19 @@ def check_tmi(interp: MatrixInterp, trs: Trs) -> TmiVerdict:
             ok=False,
             failure=f"not triangular: argument {i + 1} of {sym.name}/{sym.arity}",
         )
-    reports = tuple(orientation_report(interp, rule) for rule in trs.rules)
-    for i, report in enumerate(reports):
-        if not report.ok:
-            if not report.constant_ok:
-                detail = "constant part does not decrease strictly"
-            else:
-                name = sorted(n for n, ok in report.variables.items() if not ok)[0]
-                detail = f"coefficient of {name} is not dominated"
+    # every rule is decided before the first failure is reported, so a symbol
+    # missing from the interpretation raises even after an unoriented rule
+    entries, dim = interp.entries, interp.dim
+    failures = [_orientation_failure(entries, entries, dim, r) for r in trs.rules]
+    for i, detail in enumerate(failures):
+        if detail is not None:
             return TmiVerdict(
                 ok=False,
                 failure=f"rule {i + 1} not strictly oriented: {detail}",
                 failing_rule_index=i,
-                reports=reports,
             )
-    degree = interp.dim
-    cert = Certificate("upper-bound", degree, f"dc(n) in O(n^{degree})")
-    return TmiVerdict(ok=True, certificate=cert, reports=reports)
+    cert = Certificate("upper-bound", dim, f"dc(n) in O(n^{dim})")
+    return TmiVerdict(ok=True, certificate=cert)
 
 
 def _search_schedule(trs: Trs) -> list[Symbol]:
@@ -387,16 +376,6 @@ def search_tmi(
             for lo, hi in rows for c in range(dim) if hi[c] > lo[c]
         )
 
-    def orientable(rule: Rule) -> bool:
-        left = _linearize(highs, dim, rule.lhs)
-        right = _linearize(lows, dim, rule.rhs)
-        if not vec_strict_gt(left.const, right.const):
-            return False
-        for name in {**left.coeffs, **right.coeffs}:
-            if not mat_ge(left.coeff(name, dim), right.coeff(name, dim)):
-                return False
-        return True
-
     # depth-first over slots without recursion: chosen[k] is the value of
     # slots[k], or -1 while it is open
     chosen = [-1] * len(slots)
@@ -416,7 +395,7 @@ def search_tmi(
         if attempts > budget:
             raise SearchBudgetExhausted(attempts)
         chosen[k] = low[c] = high[c] = value
-        if all(orientable(rule) for rule in rules):
+        if all(_orientation_failure(highs, lows, dim, r) is None for r in rules):
             k += 1
 
     found = MatrixInterp(dim, {

@@ -52,6 +52,7 @@ class UnknownSymbolError(TransformError):
     """A term mentions a symbol outside the source signature and its family."""
 
 
+@dataclass
 class AtrsContext:
     """Everything fixed by detecting an ATRS: the application symbol, the
     constants, their applicative arities, and the fresh symbol family.
@@ -60,38 +61,10 @@ class AtrsContext:
     named ``f#i`` of arity i for i >= 1.
     """
 
-    __slots__ = ("app", "constants", "aa", "constant_order", "_hash")
-
-    def __init__(
-        self,
-        app: Symbol,
-        constants: frozenset[Symbol],
-        aa: dict[str, int],
-        constant_order: tuple[str, ...],
-    ):
-        self.app = app
-        self.constants = frozenset(constants)
-        self.aa = dict(aa)
-        self.constant_order = tuple(constant_order)
-        self._hash = hash(
-            (app, self.constants, tuple(sorted(self.aa.items())), self.constant_order)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AtrsContext)
-            and other.app == self.app
-            and other.constants == self.constants
-            and other.aa == self.aa
-            and other.constant_order == self.constant_order
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        aa = ", ".join(f"{n}:{k}" for n, k in sorted(self.aa.items()))
-        return f"AtrsContext(app={self.app.name}, aa={{{aa}}})"
+    app: Symbol
+    constants: frozenset[Symbol]
+    aa: dict[str, int]
+    constant_order: tuple[str, ...]
 
     @staticmethod
     def family(base: str, i: int) -> Symbol:
@@ -196,17 +169,13 @@ def applicative_arity_of_term(ctx: AtrsContext, t: Term) -> int | None:
     return k if k >= 0 else None
 
 
-def is_head_variable_free(ctx: AtrsContext, t: Term) -> bool:
-    """True iff no subterm of t applies a variable."""
-    return not any(
-        isinstance(s, Fun) and s.symbol == ctx.app and isinstance(s.args[0], Var)
-        for s in subterms(t)
-    )
-
-
 def is_left_head_variable_free(ctx: AtrsContext, trs: Trs) -> bool:
     """True iff no left-hand side of trs applies a variable."""
-    return all(is_head_variable_free(ctx, r.lhs) for r in trs.rules)
+    return not any(
+        isinstance(s, Fun) and s.symbol == ctx.app and isinstance(s.args[0], Var)
+        for r in trs.rules
+        for s in subterms(r.lhs)
+    )
 
 
 def currying_system(symbols: set[Symbol] | frozenset[Symbol], app: Symbol = DEFAULT_APP) -> Trs:
@@ -302,12 +271,11 @@ def eta_saturate(ctx: AtrsContext, trs: Trs) -> Trs:
     Fresh variables are drawn as _eta0, _eta1, ... skipping names present in
     the rule.  Applicative arities are the ones fixed by ctx, computed from
     the original rules.  Rules already present modulo renaming are not added
-    twice.
+    twice.  A left-hand side that applies a variable has no applicative
+    arity and raises NotLeftHeadVariableFreeError.
     """
     if not is_left_head_variable_free(ctx, trs):
-        raise NotLeftHeadVariableFreeError(
-            "eta-saturation needs applicative arities on all left-hand sides"
-        )
+        raise NotLeftHeadVariableFreeError("left-hand sides must not apply variables")
     out = list(trs.rules)
     seen = {canonical_rule(r) for r in out}
     queue = list(trs.rules)
@@ -359,10 +327,6 @@ class TransformResult:
 def transform(trs: Trs, app_hint: str | None = None) -> TransformResult:
     """Uncurry an ATRS: detect, eta-saturate, uncurry, and combine."""
     ctx = detect_atrs(trs, app_hint)
-    if not is_left_head_variable_free(ctx, trs):
-        raise NotLeftHeadVariableFreeError(
-            "left-hand sides must not apply variables"
-        )
     eta = eta_saturate(ctx, trs)
     u_rules = uncurrying_system(ctx)
     uncurried = uncurried_trs(ctx, trs)

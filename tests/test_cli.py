@@ -96,6 +96,16 @@ def test_uncurry_app_hint(capsys, tmp_path):
     assert "id#1(x) -> x" in out
 
 
+def test_uncurry_rejects_applied_variables_on_the_left(capsys, tmp_path):
+    f = tmp_path / "headvar.trs"
+    f.write_text("(VAR x y) (RULES x @ y -> y)\n", encoding="utf-8")
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "uncurry", str(f), *extra)
+        assert code == 3
+        assert out == ""
+        assert err == "error: left-hand sides must not apply variables\n"
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "uncurry", str(TRS / "nope.trs"))
     assert code == 3

@@ -6,7 +6,7 @@ import strategies
 from hypothesis import given, settings
 
 from atrs import systems
-from atrs.complexity import dc_table, enumerate_terms
+from atrs.complexity import dc_table, detect_innermost_nontermination, enumerate_terms
 from atrs.parsing import parse_term, parse_trs
 from atrs.rewriting import (
     Closure,
@@ -17,7 +17,6 @@ from atrs.rewriting import (
     StrategyKind,
     clear_caches,
     derivation_height,
-    detect_innermost_nontermination,
     is_normal_form_fast,
     normalize,
     reachable,
