@@ -49,7 +49,7 @@ from .rewriting import (
 )
 from .terms import Position, Term
 from .tmi import SearchBudgetExhausted, check_tmi, search_tmi
-from .uncurrying import detect_atrs, transform
+from .uncurrying import transform
 
 _STRATEGIES = {
     "full": StrategyKind.FULL,
@@ -348,7 +348,8 @@ def _cmd_verify(args) -> int:
     if args.property in _ORACLES:
         report = _ORACLES[args.property](trs, args.max_size, args.fuel)
     else:
-        ctx = detect_atrs(trs, app_hint=problem.app_hint)
+        # reject what uncurrying rejects, as the other oracles do
+        ctx = transform(trs, app_hint=problem.app_hint).context
         report = verify_subterm_commutation(ctx, args.max_size, args.fuel)
     return _report_output(args, report)
 

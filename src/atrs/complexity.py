@@ -3,9 +3,11 @@
 dc(n) is the maximal derivation height over all terms of size at most n; the
 innermost variant restricts the rewrite strategy, the relative variant counts
 main-system steps modulo a second system.  Tables are computed by brute force
-over a canonical enumeration of terms, so they are exact at desk scale.
-The innermost-loop search walks the same enumeration looking for an
-innermost cycle.
+over a canonical enumeration of terms, so they are exact at desk scale.  The
+enumeration builds each size from cached argument lists of smaller sizes,
+made only when a larger term first needs them; the row being tabled is
+streamed, not stored.  The innermost-loop search walks the same enumeration
+looking for an innermost cycle.
 """
 
 from __future__ import annotations
@@ -27,49 +29,61 @@ from .rewriting import (
 from .terms import Fun, Symbol, Term, Trs, Var, canonical_var_name, is_left_linear
 
 
-def _terms_of_size(
-    symbols: tuple[Symbol, ...], size: int, used: int, max_vars: int
-) -> Iterator[tuple[Term, int]]:
-    """Canonical terms of exactly this size, threading the count of distinct
-    variables used so far; variables come first, then symbols in sorted order."""
-    if size < 1:
-        return
-    if size == 1:
-        for i in range(used):
-            yield Var(canonical_var_name(i)), used
-        if used < max_vars:
-            yield Var(canonical_var_name(used)), used + 1
-    for f in symbols:
-        if f.arity == 0:
-            if size == 1:
-                yield Fun(f), used
-        elif size >= f.arity + 1:
-            for args, u in _args_of_size(symbols, size - 1, f.arity, used, max_vars):
-                yield Fun(f, args), u
+class _Enumeration:
+    """Canonical terms over one signature: variables first, then symbols in
+    sorted order.  lists[size, used] holds the terms of that size after used
+    distinct variables and, in a parallel list, the count of distinct
+    variables after each; it is built when a larger term first asks for it
+    as an argument.  Two lists take a quarter of the memory of pairs."""
 
+    def __init__(self, signature: Iterable[Symbol], max_vars: int):
+        if max_vars < 0:
+            raise ValueError("max_vars must not be negative")
+        self.symbols = tuple(sorted(set(signature)))
+        self.max_vars = max_vars
+        self.lists: dict[tuple[int, int], tuple[list[Term], list[int]]] = {}
 
-def _args_of_size(
-    symbols: tuple[Symbol, ...], budget: int, count: int, used: int, max_vars: int
-) -> Iterator[tuple[tuple[Term, ...], int]]:
-    if count == 1:
-        for t, u in _terms_of_size(symbols, budget, used, max_vars):
-            yield (t,), u
-        return
-    for first in range(1, budget - (count - 1) + 1):
-        for t, u in _terms_of_size(symbols, first, used, max_vars):
-            for rest, u2 in _args_of_size(
-                symbols, budget - first, count - 1, u, max_vars
-            ):
-                yield (t,) + rest, u2
+    def stream(self, size: int, used: int = 0) -> Iterator[tuple[Term, int]]:
+        if size == 1:
+            for i in range(used):
+                yield Var(canonical_var_name(i)), used
+            if used < self.max_vars:
+                yield Var(canonical_var_name(used)), used + 1
+        for f in self.symbols:
+            if f.arity == 0:
+                if size == 1:
+                    yield Fun(f), used
+            elif size > f.arity:
+                yield from self._apply(f, (), size - 1, f.arity, used)
+
+    def _listed(self, size: int, used: int) -> Iterator[tuple[Term, int]]:
+        out = self.lists.get((size, used))
+        if out is None:
+            terms, after = [], []
+            for t, u in self.stream(size, used):
+                terms.append(t)
+                after.append(u)
+            out = self.lists[size, used] = (terms, after)
+        return zip(*out)
+
+    def _apply(
+        self, f: Symbol, done: tuple[Term, ...], budget: int, count: int, used: int
+    ) -> Iterator[tuple[Term, int]]:
+        """f applied to done and then count more arguments of total size budget."""
+        if count == 1:
+            for t, u in self._listed(budget, used):
+                yield Fun(f, done + (t,)), u
+            return
+        for first in range(1, budget - count + 2):
+            for t, u in self._listed(first, used):
+                yield from self._apply(f, done + (t,), budget - first, count - 1, u)
 
 
 def terms_of_size(
     signature: Iterable[Symbol], size: int, max_vars: int = 2
 ) -> Iterator[Term]:
     """Canonical terms of exactly the given size over the signature."""
-    symbols = tuple(sorted(set(signature)))
-    for t, _ in _terms_of_size(symbols, size, 0, max_vars):
-        yield t
+    return (t for t, _ in _Enumeration(signature, max_vars).stream(size))
 
 
 def enumerate_terms(
@@ -81,12 +95,9 @@ def enumerate_terms(
     Variables are named canonically in order of first occurrence, so distinct
     listed terms are distinct modulo renaming.
     """
-    if max_vars < 0:
-        raise ValueError("max_vars must not be negative")
+    enumeration = _Enumeration(signature, max_vars)
     return [
-        t
-        for size in range(1, max_size + 1)
-        for t in terms_of_size(signature, size, max_vars)
+        t for size in range(1, max_size + 1) for t, _ in enumeration.stream(size)
     ]
 
 
@@ -127,12 +138,11 @@ def _fill_table(
     max_size: int,
     max_vars: int,
 ) -> ComplexityTable:
-    if max_vars < 0:
-        raise ValueError("max_vars must not be negative")
+    enumeration = _Enumeration(signature, max_vars)
     best = 0
     witness: Term | None = None
     for n in range(1, max_size + 1):
-        for t in terms_of_size(signature, n, max_vars):
+        for t, _ in enumeration.stream(n):
             outcome = search.height(t, fuel)
             if isinstance(outcome, Finished):
                 if witness is None or outcome.value > best:

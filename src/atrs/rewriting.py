@@ -1,8 +1,10 @@
 """Rewriting under full, innermost, and rightmost-innermost strategies.
 
 There is one step table per strategy, memoizing one-step results per
-(system, term) over interned terms; redexes builds step records, with
-position, rule and matcher, only for loop witnesses and the ri-sim oracle.
+(system, term) over interned terms.  The rules tried at a subterm are the
+system's candidates for it (Trs.candidates, the rule index), in rule order.
+redexes builds step records, with position, rule and matcher, only for loop
+witnesses and the ri-sim oracle.
 All searches are totalized by fuel: they finish, run out of fuel, or detect
 a loop and report it with a concrete witness.
 
@@ -90,12 +92,11 @@ class FuelExhaustedError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _root_steps(trs: Trs, t: Term) -> tuple[Term, ...]:
-    out = []
-    for rule in trs.rules:
-        sigma = match(rule.lhs, t)
-        if sigma is not None:
-            out.append(substitute(rule.rhs, sigma))
-    return tuple(out)
+    return tuple(
+        substitute(rule.rhs, sigma)
+        for _, rule in trs.candidates(t)
+        if (sigma := match(rule.lhs, t)) is not None
+    )
 
 
 def _wrap(t: Fun, i: int, results: Iterable[Term]) -> list[Term]:
@@ -110,8 +111,10 @@ def _full_steps(trs: Trs, t: Term) -> tuple[Term, ...]:
     if isinstance(t, Var):
         return ()
     out = list(_root_steps(trs, t))
-    for i in range(len(t.args)):
-        out.extend(_wrap(t, i, _full_steps(trs, t.args[i])))
+    for i, a in enumerate(t.args):
+        inner = _full_steps(trs, a)
+        if inner:
+            out.extend(_wrap(t, i, inner))
     return tuple(out)
 
 
@@ -171,7 +174,7 @@ def redexes(trs: Trs, t: Term, kind: StrategyKind) -> list[RewriteStep]:
         p, s = todo.pop()
         inner = [i for i, a in enumerate(s.args, 1) if steps(trs, a)]
         if kind is StrategyKind.FULL or not inner:
-            for i, rule in enumerate(trs.rules):
+            for i, rule in trs.candidates(s):
                 sigma = match(rule.lhs, s)
                 if sigma is not None:
                     found.append((p, i, sigma))
@@ -323,7 +326,11 @@ class HeightSearch:
             raise ValueError("fuel must be positive")
         new_nodes = 1
         try:
-            stack = [[t, self._successors(t), 0, 0]]
+            succ = self._successors(t)
+            if not succ:
+                memo[t] = 0
+                return Finished(0)
+            stack = [[t, succ, 0, 0]]
             on_stack = {t: 0}
             while stack:
                 frame = stack[-1]

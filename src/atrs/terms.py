@@ -7,6 +7,11 @@ amortized O(1) per distinct term, which the derivation-height and complexity
 machinery relies on.  Unpickling and deepcopy rebuild a term through its
 constructor (see __reduce__), so they return the interned object too, and
 term equality is identity.  Symbols are not interned and compare by value.
+
+A Trs indexes its rules in a trie over each lhs's leftmost path (the root,
+the root of its first argument, ... down to a variable or constant), and
+Trs.candidates(t) returns the rules that may match t, in rule order.  That
+is an index by root symbol, or by spine head and spine length for an ATRS.
 """
 
 from __future__ import annotations
@@ -298,7 +303,7 @@ class Trs:
     are identified by (name, arity).
     """
 
-    __slots__ = ("rules", "signature", "_hash")
+    __slots__ = ("rules", "signature", "_hash", "_index")
 
     def __init__(self, rules: Iterable[Rule], extra_signature: Iterable[Symbol] = ()):
         self.rules = tuple(rules)
@@ -308,6 +313,19 @@ class Trs:
             used |= term_symbols(r.rhs)
         self.signature = frozenset(used)
         self._hash = hash(("trs", self.rules, self.signature))
+        self._index: dict | None = None
+
+    def candidates(self, t: Term) -> tuple[tuple[int, Rule], ...]:
+        """(index, rule) pairs, in rule order, of every rule whose left-hand
+        side could match t; the others certainly do not.  The index is
+        built at the first call, so systems never rewritten cost nothing."""
+        node, out = self._index, ()
+        if node is None:
+            node = self._index = _rule_index(self.rules)
+        while isinstance(t, Fun) and (entry := node.get(t.symbol)):
+            out, node = entry
+            t = t.args[0] if t.args else None
+        return out
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -321,6 +339,29 @@ class Trs:
 
     def __repr__(self) -> str:
         return f"Trs({len(self.rules)} rules, {len(self.signature)} symbols)"
+
+
+def _leftmost_path(t: Term) -> Iterator[Symbol]:
+    """Root symbols down the first arguments, to the first variable or constant."""
+    while isinstance(t, Fun):
+        yield t.symbol
+        t = t.args[0] if t.args else None
+
+
+def _rule_index(rules: tuple[Rule, ...]) -> dict:
+    """The trie behind Trs.candidates, symbol -> (candidates, children).  A
+    node lists every rule whose lhs's leftmost path is a prefix of its own."""
+    paths = [tuple(_leftmost_path(r.lhs)) for r in rules]
+    root: dict = {}
+    for path in paths:
+        node = root
+        for k, f in enumerate(path, 1):
+            if f not in node:
+                found = [(i, r) for i, (r, p) in enumerate(zip(rules, paths))
+                         if len(p) <= k and path[: len(p)] == p]
+                node[f] = (tuple(found), {})
+            node = node[f][1]
+    return root
 
 
 def canonical_rules(trs: Trs | Iterable[Rule]) -> frozenset[Rule]:

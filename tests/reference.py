@@ -1,20 +1,30 @@
-"""One-step rewriting written straight from the definitions, with no caches,
-kept as the reference that atrs.rewriting must agree with.
+"""One-step rewriting and term enumeration written straight from the
+definitions, with no caches, kept as the references that atrs.rewriting and
+atrs.complexity must agree with.
 
 A step contracts the subterm at some position of t with some rule whose
 left-hand side matches there.  It is innermost when every argument of that
 subterm is a normal form, and rightmost-innermost when its position is
 also the greatest innermost position in the lexicographic order.  Steps
 come in position preorder, then rule order.
+
+The recursive term enumeration below is the reference for
+atrs.complexity.terms_of_size: canonical terms of one size, variables
+first, then symbols in sorted order, rebuilt from the leaves on every call.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from atrs.rewriting import RewriteStep, StrategyKind
 from atrs.terms import (
     Fun,
+    Symbol,
     Term,
     Trs,
+    Var,
+    canonical_var_name,
     is_normal_form,
     match,
     positions,
@@ -49,3 +59,45 @@ def steps(trs: Trs, t: Term, kind: StrategyKind) -> list[RewriteStep]:
 def successors(trs: Trs, t: Term, kind: StrategyKind) -> list[Term]:
     """The distinct results of steps(trs, t, kind), in step order."""
     return list(dict.fromkeys(st.result for st in steps(trs, t, kind)))
+
+
+def _terms_of_size(
+    symbols: tuple[Symbol, ...], size: int, used: int, max_vars: int
+) -> Iterator[tuple[Term, int]]:
+    """Canonical terms of exactly this size, threading the count of distinct
+    variables used so far; variables come first, then symbols in sorted order."""
+    if size < 1:
+        return
+    if size == 1:
+        for i in range(used):
+            yield Var(canonical_var_name(i)), used
+        if used < max_vars:
+            yield Var(canonical_var_name(used)), used + 1
+    for f in symbols:
+        if f.arity == 0:
+            if size == 1:
+                yield Fun(f), used
+        elif size >= f.arity + 1:
+            for args, u in _args_of_size(symbols, size - 1, f.arity, used, max_vars):
+                yield Fun(f, args), u
+
+
+def _args_of_size(
+    symbols: tuple[Symbol, ...], budget: int, count: int, used: int, max_vars: int
+) -> Iterator[tuple[tuple[Term, ...], int]]:
+    if count == 1:
+        for t, u in _terms_of_size(symbols, budget, used, max_vars):
+            yield (t,), u
+        return
+    for first in range(1, budget - (count - 1) + 1):
+        for t, u in _terms_of_size(symbols, first, used, max_vars):
+            for rest, u2 in _args_of_size(
+                symbols, budget - first, count - 1, u, max_vars
+            ):
+                yield (t,) + rest, u2
+
+
+def terms_of_size(signature, size: int, max_vars: int) -> list[Term]:
+    """Canonical terms of exactly the given size over the signature."""
+    symbols = tuple(sorted(set(signature)))
+    return [t for t, _ in _terms_of_size(symbols, size, 0, max_vars)]

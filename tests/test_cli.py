@@ -438,6 +438,19 @@ def test_verify_reports_closure_fuel_as_undecided(capsys, prop, checked, exhaust
 @pytest.mark.parametrize(
     "prop", ["uncurried-step", "ri-sim", "nf-preservation", "subterm-commutation"]
 )
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_verify_rejects_left_head_variables(capsys, tmp_path, prop, json_flag):
+    f = tmp_path / "hv.trs"
+    f.write_text("(VAR x y) (RULES x @ y -> y)\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(f), "--property", prop, *json_flag)
+    assert code == 3
+    assert out == ""
+    assert err == "error: left-hand sides must not apply variables\n"
+
+
+@pytest.mark.parametrize(
+    "prop", ["uncurried-step", "ri-sim", "nf-preservation", "subterm-commutation"]
+)
 def test_verify_rejects_fuel_below_one(capsys, prop):
     code, out, err = run(capsys, "verify", ADD, "--property", prop, "--fuel", "0")
     assert code == 3

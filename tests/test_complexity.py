@@ -2,6 +2,10 @@ import itertools
 from pathlib import Path
 
 import pytest
+import reference
+import strategies
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atrs import systems
 from atrs.complexity import (
@@ -100,6 +104,21 @@ def test_enumeration_matches_brute_force_reference():
     got2 = {canonical(t) for t in enumerate_terms((A0, F1, O2), 5, max_vars=2)}
     want2 = brute_force((A0, F1, O2), 5, 2)
     assert got2 == want2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(strategies.first_order_systems(), strategies.applicative_systems()),
+    st.sampled_from([0, 1, 2]),
+)
+def test_enumeration_equals_the_recursive_reference_in_order(trs, max_vars):
+    signature = trs.signature
+    want = []
+    for n in range(7):
+        row = reference.terms_of_size(signature, n, max_vars)
+        assert list(terms_of_size(signature, n, max_vars)) == row, n
+        want += row
+    assert enumerate_terms(signature, 6, max_vars) == want
 
 
 def test_enumeration_has_no_renaming_duplicates():

@@ -9,6 +9,7 @@ from atrs import systems
 from atrs.complexity import dc_table, detect_innermost_nontermination, enumerate_terms
 from atrs.parsing import parse_term, parse_trs
 from atrs.rewriting import (
+    _TABLES,
     Closure,
     Finished,
     FuelExhausted,
@@ -122,6 +123,38 @@ def test_steps_on_random_first_order_systems_agree_with_the_reference(trs):
 @given(strategies.applicative_systems())
 def test_steps_on_random_applicative_systems_agree_with_the_reference(trs):
     _agrees_with_the_reference(trs)
+
+
+_INDEX_EDGE_CASES = {
+    "constant lhs": ("(RULES a -> b  f(a, a) -> b)", ["f(a, f(b, a))"]),
+    "variable first argument": (
+        "(VAR x) (RULES f(x, a) -> g(x)  f(g(x), x) -> x  g(x) -> x)",
+        ["f(g(a), a)", "g(f(b, a))", "f(g(b), g(b))"],
+    ),
+    "constant first argument": (
+        "(VAR x) (RULES f(a, x) -> x  f(b, x) -> a)", ["f(a, f(b, b))", "f(f(a, b), a)"]
+    ),
+    "repeated variable": (
+        "(VAR x y) (RULES f(x, x) -> a  g(f(x, y)) -> f(y, x))",
+        ["g(f(a, a))", "f(g(a), g(a))", "g(f(a, b))"],
+    ),
+    "spine length 3": (
+        "(VAR x y z) (RULES k @ x @ y @ z -> x  k @ x -> k  c @ c -> k @ c)",
+        ["k @ a @ (c @ c)", "k @ (c @ c) @ a @ c", "k @ a @ c @ (k @ a @ c @ c) @ a"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INDEX_EDGE_CASES))
+def test_rule_index_edge_cases_agree_with_the_reference(case):
+    text, extra = _INDEX_EDGE_CASES[case]
+    trs = trs_of(text)
+    terms = enumerate_terms(trs.signature, 5) + [term_in(trs, t) for t in extra]
+    for t in terms:
+        for kind in (FULL, INNER, RI):
+            want = reference.steps(trs, t, kind)
+            assert list(_TABLES[kind](trs, t)) == [st.result for st in want]
+            assert redexes(trs, t, kind) == want, (t, kind)
 
 
 def test_successors_are_distinct_and_in_step_order():
