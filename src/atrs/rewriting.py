@@ -157,7 +157,7 @@ def clear_caches() -> None:
 
 
 def is_normal_form_fast(trs: Trs, t: Term) -> bool:
-    """Cached normal-form test; agrees with terms.is_normal_form."""
+    """Cached normal-form test; tests/reference.py has the definition."""
     return not _innermost_steps(trs, t)
 
 
@@ -302,9 +302,10 @@ class HeightSearch:
         self.trs = trs
         self.kind = kind
         self.memo: dict[Term, int] = {}
+        self._steps = _TABLES[kind]
 
     def _successors(self, t: Term) -> tuple[Term, ...]:
-        return tuple(dict.fromkeys(_TABLES[self.kind](self.trs, t)))
+        return tuple(dict.fromkeys(self._steps(self.trs, t)))
 
     def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:
         """The steps along cycle[0] -> cycle[1] -> ... -> cycle[0], taking

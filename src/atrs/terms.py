@@ -1,12 +1,15 @@
 """First-order terms, rules, and term rewrite systems.
 
-Terms are immutable and interned: constructing the same variable or the same
-application of a symbol to the same arguments always yields the same object,
-with hash and size cached at construction.  This keeps memo tables over terms
-amortized O(1) per distinct term, which the derivation-height and complexity
-machinery relies on.  Unpickling and deepcopy rebuild a term through its
-constructor (see __reduce__), so they return the interned object too, and
-term equality is identity.  Symbols are not interned and compare by value.
+Terms, symbols and systems are immutable and interned: constructing the same
+variable, the same symbol (name and arity), the same application of a symbol
+to the same arguments, or a system with the same rules and signature always
+yields the same object, so hash and equality are identity.  Memo tables over
+terms therefore cost amortized O(1) per distinct term, which the
+derivation-height and complexity machinery relies on, and equal systems (one
+file parsed twice) share their step tables and rule index.  Unpickling and
+deepcopy rebuild each object through its constructor (see __reduce__), so
+they return the interned object too.  Rules are not interned; their value
+hash runs only when a system is built.
 
 A Trs indexes its rules in a trie over each lhs's leftmost path (the root,
 the root of its first argument, ... down to a variable or constant), and
@@ -17,23 +20,31 @@ is an index by root symbol, or by spine head and spine length for an ATRS.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import Iterable, Iterator, Mapping, Union
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@total_ordering
 class Symbol:
-    """A function symbol with a fixed arity; the hash is stored, as in terms."""
+    """A function symbol with a fixed arity, interned like terms and ordered
+    by (name, arity)."""
 
-    name: str
-    arity: int
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "arity")
+    _intern: dict = {}
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+    def __new__(cls, name: str, arity: int) -> "Symbol":
+        s = cls._intern.get((name, arity))
+        if s is None:
+            s = object.__new__(cls)
+            s.name = name
+            s.arity = arity
+            cls._intern[name, arity] = s
+        return s
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Symbol):
+            return NotImplemented
+        return (self.name, self.arity) < (other.name, other.arity)
 
     def __repr__(self) -> str:
         return f"{self.name}/{self.arity}"
@@ -45,7 +56,7 @@ class Symbol:
 class Var:
     """A variable, identified by name."""
 
-    __slots__ = ("name", "size", "_hash")
+    __slots__ = ("name", "size")
     _intern: dict = {}
 
     def __new__(cls, name: str) -> "Var":
@@ -56,12 +67,8 @@ class Var:
             t = object.__new__(cls)
             t.name = name
             t.size = 1
-            t._hash = hash(("var", name))
             cls._intern[name] = t
         return t
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
@@ -73,7 +80,7 @@ class Var:
 class Fun:
     """A function symbol applied to exactly symbol.arity argument terms."""
 
-    __slots__ = ("symbol", "args", "size", "_hash")
+    __slots__ = ("symbol", "args", "size")
     _intern: dict = {}
 
     def __new__(cls, symbol: Symbol, args: Iterable["Term"] = ()) -> "Fun":
@@ -89,12 +96,8 @@ class Fun:
             t.symbol = symbol
             t.args = args
             t.size = 1 + sum(a.size for a in args)
-            t._hash = hash(key)
             cls._intern[key] = t
         return t
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         if not self.args:
@@ -303,17 +306,23 @@ class Trs:
     are identified by (name, arity).
     """
 
-    __slots__ = ("rules", "signature", "_hash", "_index")
+    __slots__ = ("rules", "signature", "_index")
+    _intern: dict = {}
 
-    def __init__(self, rules: Iterable[Rule], extra_signature: Iterable[Symbol] = ()):
-        self.rules = tuple(rules)
+    def __new__(cls, rules: Iterable[Rule], extra_signature: Iterable[Symbol] = ()):
+        rules = tuple(rules)
         used: set[Symbol] = set(extra_signature)
-        for r in self.rules:
+        for r in rules:
             used |= term_symbols(r.lhs)
             used |= term_symbols(r.rhs)
-        self.signature = frozenset(used)
-        self._hash = hash(("trs", self.rules, self.signature))
-        self._index: dict | None = None
+        key = (rules, frozenset(used))
+        trs = cls._intern.get(key)
+        if trs is None:
+            trs = object.__new__(cls)
+            trs.rules, trs.signature = key
+            trs._index = None
+            cls._intern[key] = trs
+        return trs
 
     def candidates(self, t: Term) -> tuple[tuple[int, Rule], ...]:
         """(index, rule) pairs, in rule order, of every rule whose left-hand
@@ -327,15 +336,8 @@ class Trs:
             t = t.args[0] if t.args else None
         return out
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Trs)
-            and other.rules == self.rules
-            and other.signature == self.signature
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return (Trs, (self.rules, self.signature))
 
     def __repr__(self) -> str:
         return f"Trs({len(self.rules)} rules, {len(self.signature)} symbols)"
@@ -385,11 +387,3 @@ def is_left_linear(trs: Trs) -> bool:
     """True iff no variable occurs twice in any left-hand side."""
     return all(n == 1 for r in trs.rules for n in variable_counts(r.lhs).values())
 
-
-def is_normal_form(trs: Trs, t: Term) -> bool:
-    """True iff no rule of trs matches any subterm of t."""
-    for s in subterms(t):
-        for rule in trs.rules:
-            if match(rule.lhs, s) is not None:
-                return False
-    return True

@@ -25,13 +25,22 @@ from atrs.terms import (
     Trs,
     Var,
     canonical_var_name,
-    is_normal_form,
     match,
     positions,
     replace,
     substitute,
     subterm_at,
+    subterms,
 )
+
+
+def is_normal_form(trs: Trs, t: Term) -> bool:
+    """True iff no rule of trs matches any subterm of t."""
+    for s in subterms(t):
+        for rule in trs.rules:
+            if match(rule.lhs, s) is not None:
+                return False
+    return True
 
 
 def _is_innermost(trs: Trs, s: Term) -> bool:

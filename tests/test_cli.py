@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -486,3 +489,56 @@ def test_internal_errors_exit_four(capsys):
     assert code == 4
     assert out == ""
     assert "internal error: RecursionError" in err
+
+
+#: Runs every argv list in-process and prints (exit code, stdout, stderr)
+#: as JSON.
+_RUN_ALL = """
+import contextlib, io, json, sys
+from atrs.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out.append([code, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def _determinism_corpus(loop_uncurried: str):
+    files = sorted(str(f) for f in TRS.glob("*.trs"))
+    runs = [["uncurry", f, "--emit", "combined"] for f in files]
+    runs += [["dc", f, "--max-size", "5", "--strategy", s, *json_flag]
+             for f in (ADD, str(TRS / "double.trs"), ADD_UNCURRIED, loop_uncurried)
+             for s in ("full", "innermost") for json_flag in ((), ("--json",))]
+    runs += [["dc", ADD_UNCURRIED, "--max-size", "5", "--relative-to", ADD]]
+    runs += [["search-tmi", f, "--dim", "2", "--max-coeff", "1", "--budget",
+              "100000", *json_flag]
+             for f in (ADD_UNCURRIED, loop_uncurried) for json_flag in ((), ("--json",))]
+    runs += [["verify", f, "--property", p, "--max-size", "4", "--json"]
+             for f in (ADD, SWITCH, LOOP)
+             for p in ("uncurried-step", "ri-sim", "nf-preservation",
+                       "subterm-commutation")]
+    runs += [["verify", f, "--property", "innermost-loop", "--max-size", "4"]
+             for f in (LOOP, loop_uncurried)]
+    runs += [["rewrite", ADD, "--steps", "3", "--strategy", s,
+              "--term", "add @ (add @ (s @ 0) @ 0) @ (s @ (s @ 0))"]
+             for s in ("full", "innermost", "ri")]
+    return runs
+
+
+def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
+    # hashing is by object identity, so set and dict orders follow object
+    # addresses; no printed result may follow them
+    loop_uncurried = tmp_path / "loop_u.trs"
+    loop_uncurried.write_text(run(capsys, "uncurry", LOOP)[1], encoding="utf-8")
+    runs = json.dumps(_determinism_corpus(str(loop_uncurried)))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, runs], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert {code for code, _, _ in outputs[0]} == {0, 1, 2, 3}

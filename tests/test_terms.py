@@ -3,7 +3,9 @@ import pickle
 from pathlib import Path
 
 import pytest
+from reference import is_normal_form
 
+from atrs import terms
 from atrs.parsing import parse_trs
 from atrs.terms import (
     Fun,
@@ -17,7 +19,6 @@ from atrs.terms import (
     canonical_rules,
     is_duplicating,
     is_left_linear,
-    is_normal_form,
     match,
     parallel,
     positions,
@@ -184,16 +185,48 @@ def test_is_left_linear():
 
 
 def test_symbol_hash_order_and_pickle_match_its_fields():
-    a, a_again, b = Symbol("add", 2), Symbol("add", 2), Symbol("add#1", 1)
-    assert a == a_again and hash(a) == hash(a_again) == hash(("add", 2))
+    a, b = Symbol("add", 2), Symbol("add#1", 1)
+    assert Symbol("add", 2) is a and (a.name, a.arity) == ("add", 2)
     assert a != b and a != ("add", 2)
     syms = [Symbol("s", 1), Symbol("add", 2), Symbol("0", 0), Symbol("add", 0)]
     assert sorted(syms) == [Symbol("0", 0), Symbol("add", 0), Symbol("add", 2),
                             Symbol("s", 1)]
-    assert Symbol("add", 0) < Symbol("add", 2) <= a_again < b
+    assert Symbol("add", 0) < Symbol("add", 2) <= a < b
+    assert b > a >= Symbol("add", 2) and not a < a
     assert repr(a) == "add/2"
-    back = pickle.loads(pickle.dumps(a))
-    assert back == a and hash(back) == hash(a) and repr(back) == "add/2"
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert copy.deepcopy(a) is a
+
+
+def test_parsing_one_file_twice_gives_one_system():
+    text = (TRS / "add.trs").read_text(encoding="utf-8")
+    assert parse_trs(text).trs is parse_trs(text).trs
+
+
+def test_systems_are_interned_by_rules_and_signature():
+    r1, r2 = Rule(Fun(G, (X,)), X), Rule(Fun(F, (X, Y)), Y)
+    trs = Trs([r1, r2])
+    assert Trs([Rule(Fun(G, (X,)), X), Rule(Fun(F, (X, Y)), Y)]) is trs
+    assert Trs([r2, r1]) is not trs
+    assert Trs([r1, r2], extra_signature=[A]) is not trs
+    assert Trs([r1, r2], extra_signature=[G]) is trs
+    assert pickle.loads(pickle.dumps(trs)) is trs
+    assert copy.deepcopy(trs) is trs
+
+
+def test_rule_index_is_built_once_per_distinct_system(monkeypatch):
+    built = []
+    real = terms._rule_index
+    monkeypatch.setattr(terms, "_rule_index",
+                        lambda rules: built.append(rules) or real(rules))
+    h = Symbol("index_once_h", 1)
+    t = Fun(h, (Fun(A),))
+    r1, r2 = Rule(Fun(h, (X,)), X), Rule(Fun(h, (X,)), Fun(A))
+    for _ in range(3):
+        assert Trs([Rule(Fun(h, (X,)), X)]).candidates(t) == ((0, r1),)
+    assert Trs([r1, r2]).candidates(t) == ((0, r1), (1, r2))
+    assert Trs([r1, r2]).candidates(t) == ((0, r1), (1, r2))
+    assert built == [(r1,), (r1, r2)]
 
 
 def test_interned_terms_are_their_own_copies():

@@ -1,4 +1,5 @@
 import pytest
+from reference import is_normal_form
 
 from atrs import systems
 from atrs.parsing import parse_trs
@@ -9,7 +10,6 @@ from atrs.terms import (
     Trs,
     Var,
     canonical_rules,
-    is_normal_form,
 )
 from atrs.uncurrying import (
     DEFAULT_APP,
