@@ -11,6 +11,7 @@ of the shape {"command", "status", "data"}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -354,7 +355,9 @@ def _cmd_verify(args) -> int:
     return _report_output(args, report)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built at the first main call and then reused."""
     parser = _Parser(prog="atrs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -433,9 +436,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

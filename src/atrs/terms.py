@@ -95,7 +95,10 @@ class Fun:
             t = object.__new__(cls)
             t.symbol = symbol
             t.args = args
-            t.size = 1 + sum(a.size for a in args)
+            size = 1
+            for a in args:
+                size += a.size
+            t.size = size
             cls._intern[key] = t
         return t
 

@@ -11,11 +11,18 @@ come in position preorder, then rule order.
 The recursive term enumeration below is the reference for
 atrs.complexity.terms_of_size: canonical terms of one size, variables
 first, then symbols in sorted order, rebuilt from the leaves on every call.
+
+Heights come from a depth-first search over these successors with no memo,
+relative successors from breadth-first modulo closures, and dc rows from
+every term with at most two variables.  Each of these spends a Budget, the
+size of each term it visits, so a search that would not end, or would
+build ever larger terms, stops with BudgetExceeded instead.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections import deque
+from typing import Callable, Iterable, Iterator
 
 from atrs.rewriting import RewriteStep, StrategyKind
 from atrs.terms import (
@@ -31,6 +38,7 @@ from atrs.terms import (
     substitute,
     subterm_at,
     subterms,
+    term_sort_key,
 )
 
 
@@ -110,3 +118,93 @@ def terms_of_size(signature, size: int, max_vars: int) -> list[Term]:
     """Canonical terms of exactly the given size over the signature."""
     symbols = tuple(sorted(set(signature)))
     return [t for t, _ in _terms_of_size(symbols, size, 0, max_vars)]
+
+
+class BudgetExceeded(Exception):
+    """A reference search visited more terms than its budget allows."""
+
+
+class Budget:
+    def __init__(self, units: int):
+        self.left = units
+
+    def spend(self, t: Term) -> None:
+        """Pay for visiting t: its size, so growing terms run out soon."""
+        self.left -= t.size
+        if self.left < 0:
+            raise BudgetExceeded
+
+
+def height(
+    successors: Callable[[Term], Iterable[Term]], t: Term, budget: Budget
+) -> int | None:
+    """The length of a longest path from t, or None when a cycle is
+    reachable, by a depth-first search over every path with no memo."""
+
+    def longest(s: Term, path: set[Term]) -> int | None:
+        budget.spend(s)
+        best = 0
+        for u in successors(s):
+            if u in path:
+                return None
+            path.add(u)
+            h = longest(u, path)
+            path.remove(u)
+            if h is None:
+                return None
+            best = max(best, h + 1)
+        return best
+
+    return longest(t, {t})
+
+
+def star(trs: Trs, t: Term, budget: Budget) -> set[Term]:
+    """Every term reachable from t by full rewriting, t included, by a
+    breadth-first search."""
+    seen = {t}
+    todo = deque([t])
+    while todo:
+        s = todo.popleft()
+        budget.spend(s)
+        for u in successors(trs, s, StrategyKind.FULL):
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return seen
+
+
+def relative_successors(
+    main: Trs, modulo: Trs, t: Term, budget: Budget
+) -> list[Term]:
+    """Every u with t ->modulo* . ->main . ->modulo* u, in term_sort_key
+    order, the order in which the relative search walks them."""
+    found = {
+        v
+        for a in star(modulo, t, budget)
+        for u in successors(main, a, StrategyKind.FULL)
+        for v in star(modulo, u, budget)
+    }
+    return sorted(found, key=term_sort_key)
+
+
+def dc_rows(
+    signature, max_size: int, height_of: Callable[[Term], int | None]
+) -> tuple[dict[int, tuple[int, Term]], tuple[int, str] | None]:
+    """dc rows n -> (value, first term attaining it) over every term with at
+    most two variables, and where they stop: (size, "loop") at the first
+    start term that reaches a cycle, (size, "budget") at the first whose
+    height_of raised BudgetExceeded, or None."""
+    rows: dict[int, tuple[int, Term]] = {}
+    best, witness = 0, None
+    for n in range(1, max_size + 1):
+        for t in terms_of_size(signature, n, 2):
+            try:
+                h = height_of(t)
+            except BudgetExceeded:
+                return rows, (n, "budget")
+            if h is None:
+                return rows, (n, "loop")
+            if witness is None or h > best:
+                best, witness = h, t
+        rows[n] = (best, witness)
+    return rows, None

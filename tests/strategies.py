@@ -2,10 +2,11 @@
 
 first_order_systems draws 2-4 symbols of arity at most 2, one of them a
 constant; applicative_systems draws 2-4 constants and the binary symbol
-app.  Each system has 1-4 rules.  A left-hand side is not a variable, has
-depth at most 3 and may repeat its variables; a right-hand side uses only
-the variables of its left-hand side.  Every drawn symbol is in the
-signature, even when no rule uses it.
+app; system_pairs draws two systems over one such set.  Each system has
+1-4 rules.  A left-hand side is not a variable, has depth at most 3 and
+may repeat its variables; a right-hand side uses only the variables of its
+left-hand side.  Every drawn symbol is in the signature, even when no rule
+uses it.
 """
 
 from __future__ import annotations
@@ -44,15 +45,29 @@ def _systems(symbols: tuple[Symbol, ...]):
     )
 
 
-@st.composite
-def first_order_systems(draw) -> Trs:
-    arities = [0] + draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
-    symbols = tuple(Symbol(n, k) for n, k in zip(_NAMES, arities))
-    return draw(_systems(symbols))
+def _first_order_symbols():
+    return st.lists(st.integers(0, 2), min_size=1, max_size=3).map(
+        lambda arities: tuple(Symbol(n, k) for n, k in zip(_NAMES, [0] + arities))
+    )
 
 
-@st.composite
-def applicative_systems(draw) -> Trs:
-    n = draw(st.integers(2, 4))
-    symbols = tuple(Symbol(c, 0) for c in _NAMES[:n]) + (Symbol("app", 2),)
-    return draw(_systems(symbols))
+def _applicative_symbols():
+    return st.integers(2, 4).map(
+        lambda n: tuple(Symbol(c, 0) for c in _NAMES[:n]) + (Symbol("app", 2),)
+    )
+
+
+def first_order_systems():
+    return _first_order_symbols().flatmap(_systems)
+
+
+def applicative_systems():
+    return _applicative_symbols().flatmap(_systems)
+
+
+def system_pairs():
+    """A main and a modulo system over the same drawn symbols, both
+    first-order or both applicative."""
+    return st.one_of(_first_order_symbols(), _applicative_symbols()).flatmap(
+        lambda symbols: st.tuples(_systems(symbols), _systems(symbols))
+    )

@@ -467,6 +467,14 @@ def test_usage_errors_exit_three(capsys):
     assert run(capsys, "nonsense")[0] == 3
 
 
+def test_usage_errors_exit_three_after_a_successful_run(capsys):
+    # the parser is built once and reused, so it must carry nothing over
+    assert run(capsys, "dh", ADD, "--term", "add @ 0 @ 0")[0] == 0
+    assert run(capsys, "dh", ADD)[0] == 3
+    assert run(capsys, "rewrite", ADD, "--term", "0", "--steps", "1",
+               "--normalize")[0] == 3
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "uncurry", "--help")[0] == 0
@@ -526,6 +534,24 @@ def _determinism_corpus(loop_uncurried: str):
               "--term", "add @ (add @ (s @ 0) @ 0) @ (s @ (s @ 0))"]
              for s in ("full", "innermost", "ri")]
     return runs
+
+
+def test_commands_in_one_process_print_what_separate_runs_print():
+    runs = [["dc", ADD, "--max-size", "4", "--json"],
+            ["verify", SWITCH, "--property", "ri-sim", "--max-size", "3"],
+            ["dh", ADD, "--term", "add @ (s @ 0) @ 0", "--strategy", "innermost"],
+            ["dc", ADD]]
+
+    def run_all(argvs):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, timeout=120,
+                              check=True)
+        return json.loads(proc.stdout)
+
+    separate = [result for argv in runs for result in run_all([argv])]
+    assert run_all(runs) == separate
+    assert [code for code, _, _ in separate] == [0, 0, 0, 3]
 
 
 def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):

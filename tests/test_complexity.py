@@ -281,3 +281,78 @@ def test_tables_of_non_left_linear_systems_enumerate_two_variables():
     one_var = dc_table(trs, 6, INNER, 1_000, max_vars=1)
     assert one_var.loop.start == term("g(f(x, a))")
     assert dc_table(trs, 6, FULL, 1_000).loop.start == term("g(f(x, x))")
+
+
+#: Budget of each reference height and fuel of the tables below: a start
+#: term the reference finishes within it cannot exhaust the table's fuel.
+_BUDGET = 1000
+_MAX_SIZE = 4
+
+
+def _assert_table_equals_the_reference(table_to, want):
+    """table_to(n) is the table up to size n.  Where the reference ran out
+    of budget the table is built only up to the size before, so that it
+    never explores the ever-growing terms that stopped the reference."""
+    rows, stop = want
+    if stop is not None and stop[1] == "budget":
+        if stop[0] == 1:
+            return None
+        table = table_to(stop[0] - 1)
+    else:
+        table = table_to(_MAX_SIZE)
+    assert {n: (row.value, row.witness) for n, row in table.rows.items()} == rows
+    if stop is None or stop[1] == "budget":
+        assert table.complete
+    else:
+        assert table.incomplete_at == stop[0]
+        assert table.loop is not None
+    return table
+
+
+def _assert_loop_is_replayed(trs, loop, kind):
+    cur = loop.start
+    for step in loop.trace:
+        assert step in reference.steps(trs, cur, kind)
+        cur = step.result
+    assert loop.trace and cur == loop.start
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(strategies.first_order_systems(), strategies.applicative_systems()))
+def test_dc_tables_equal_the_reference_on_random_systems(trs):
+    for kind in StrategyKind:
+
+        def height_of(t):
+            return reference.height(
+                lambda s: reference.successors(trs, s, kind), t,
+                reference.Budget(_BUDGET),
+            )
+
+        table = _assert_table_equals_the_reference(
+            lambda n: dc_table(trs, n, kind, _BUDGET),
+            reference.dc_rows(trs.signature, _MAX_SIZE, height_of),
+        )
+        if table is not None and table.loop is not None:
+            _assert_loop_is_replayed(trs, table.loop, kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.system_pairs())
+def test_relative_tables_equal_the_reference_on_random_pairs(pair):
+    main, modulo = pair
+
+    def height_of(t):
+        budget = reference.Budget(_BUDGET)
+        return reference.height(
+            lambda s: reference.relative_successors(main, modulo, s, budget), t,
+            budget,
+        )
+
+    table = _assert_table_equals_the_reference(
+        lambda n: dc_relative_table(main, modulo, n, _BUDGET),
+        reference.dc_rows(main.signature | modulo.signature, _MAX_SIZE, height_of),
+    )
+    if table is not None and table.loop is not None:
+        combined = RelativeHeightSearch(main, modulo, _BUDGET).combined
+        _assert_loop_is_replayed(combined, table.loop, FULL)
+        assert any(step.rule_index < len(main.rules) for step in table.loop.trace)

@@ -10,6 +10,8 @@ from atrs.complexity import dc_table, detect_innermost_nontermination, enumerate
 from atrs.parsing import parse_term, parse_trs
 from atrs.rewriting import (
     _TABLES,
+    _full_steps,
+    _root_steps,
     Closure,
     Finished,
     FuelExhausted,
@@ -353,6 +355,16 @@ def test_relative_height_counts_main_steps_only():
     assert search.height(term_in(main, "f @ b"), 1000) == Finished(0)
 
 
+def test_relative_height_zero_does_not_make_an_argument_normal():
+    # a has relative height 0 but a modulo step, which opens a main redex
+    main = trs_of("(RULES c @ b -> a)")
+    modulo = trs_of("(RULES a -> b)")
+    search = RelativeHeightSearch(main, modulo, 100)
+    for name in ("a", "c"):
+        assert search.height(term_in(main, name), 100) == Finished(0)
+    assert search.height(term_in(main, "c @ a"), 100) == Finished(1)
+
+
 def test_relative_height_loop_witness_mixes_both_systems():
     main = trs_of("(RULES a -> b)")
     modulo = trs_of("(RULES b -> a)")
@@ -396,6 +408,27 @@ def test_innermost_nontermination_detector():
 
     growing = trs_of("(VAR x) (RULES f @ x -> f @ (s @ x))")
     assert detect_innermost_nontermination(growing, 3, 50) == FuelExhausted()
+
+
+def test_a_normal_start_term_with_normal_arguments_fills_no_step_table():
+    # a system no other test builds, so no step table holds its terms yet
+    trs = trs_of("(VAR x) (RULES nfa @ (nfb @ x) -> x)")
+    search = strategy_search(trs, FULL)
+
+    def table_sizes():
+        return (_full_steps.cache_info().currsize,
+                _root_steps.cache_info().currsize)
+
+    before = table_sizes()
+    normal = [term_in(trs, s) for s in ("nfa", "nfb", "nfb @ nfa", "nfa @ nfb")]
+    for t in normal:
+        assert search.height(t, 10) == Finished(0)
+    assert table_sizes() == before
+    assert set(normal) <= search.normal
+    # an argument never met as a start term is not known normal
+    assert search.height(term_in(trs, "nfb @ (nfb @ nfb)"), 10) == Finished(0)
+    assert table_sizes() != before
+    assert search.height(term_in(trs, "nfa @ (nfb @ nfa)"), 10) == Finished(1)
 
 
 def test_innermost_and_rightmost_heights_agree_pointwise():
