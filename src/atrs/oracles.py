@@ -86,21 +86,23 @@ def verify_uncurried_step(trs: Trs, max_size: int, fuel: int) -> VerificationRep
         targets = successors(trs, s, StrategyKind.FULL)
         if not targets:
             continue
-        us = uncurry_nf(ctx, s)
+        checked += len(targets)
+        try:
+            reached = reach.plus(uncurry_nf(ctx, s))
+        except FuelExhaustedError:
+            exhausted.extend(
+                Exhausted((s, t), f"reachability fuel {fuel}") for t in targets
+            )
+            continue
         for t in targets:
-            checked += 1
-            ut = uncurry_nf(ctx, t)
-            try:
-                if ut not in reach.plus(us):
-                    failures.append(
-                        Failure(
-                            (s, t),
-                            "uncurried source reaches uncurried target in >= 1 step",
-                            "target not reachable in the combined system",
-                        )
+            if uncurry_nf(ctx, t) not in reached:
+                failures.append(
+                    Failure(
+                        (s, t),
+                        "uncurried source reaches uncurried target in >= 1 step",
+                        "target not reachable in the combined system",
                     )
-            except FuelExhaustedError:
-                exhausted.append(Exhausted((s, t), f"reachability fuel {fuel}"))
+                )
     return VerificationReport(
         "uncurried-step", checked, tuple(failures), tuple(exhausted)
     )

@@ -121,10 +121,15 @@ APP_NAME = "app"
 
 
 class _TrsParser:
-    def __init__(self, text: str):
+    def __init__(
+        self,
+        text: str,
+        declared_vars: frozenset[str] | set[str] = frozenset(),
+        arities: dict[str, int] | None = None,
+    ):
         self.toks = _Tokens(_tokenize(text, "(),@"))
-        self.vars: set[str] = set()
-        self.arities: dict[str, int] = {}
+        self.vars = set(declared_vars)
+        self.arities = dict(arities or {})
         self.rules: list[Rule] = []
         self.saw_app = False
         self.rules_seen = False
@@ -248,10 +253,7 @@ def parse_term(
     Seeding arities makes uses inconsistent with the system a parse error;
     fresh identifiers become constants.
     """
-    p = _TrsParser("")
-    p.vars = set(declared_vars)
-    p.arities = dict(arities or {})
-    p.toks = _Tokens(_tokenize(text, "(),@"))
+    p = _TrsParser(text, declared_vars, arities)
     t = p.term()
     p.toks.expect("eof")
     return t

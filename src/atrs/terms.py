@@ -252,10 +252,16 @@ def canonical(t: Term) -> Term:
 
 def term_sort_key(t: Term):
     """Deterministic total order: variables before function symbols, then
-    lexicographic on (name, arity, argument keys)."""
-    if isinstance(t, Var):
-        return (0, t.name)
-    return (1, t.symbol.name, t.symbol.arity, tuple(term_sort_key(a) for a in t.args))
+    lexicographic on (name, arity, argument keys).
+
+    The key lists one label per subterm in preorder, (0, name) or
+    (1, name, arity); arities make it prefix-free, so it orders like the
+    nested key while comparing in time linear in term size.
+    """
+    return tuple(
+        (1, s.symbol.name, s.symbol.arity) if isinstance(s, Fun) else (0, s.name)
+        for s in subterms(t)
+    )
 
 
 class Rule:

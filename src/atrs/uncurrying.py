@@ -9,7 +9,7 @@ the uncurried eta-saturation together with the uncurrying rules themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .terms import (
     Fun,
@@ -57,14 +57,26 @@ class AtrsContext:
     """Everything fixed by detecting an ATRS: the application symbol, the
     constants, their applicative arities, and the fresh symbol family.
 
-    The family member for (f, i) is f itself for i = 0 and a fresh symbol
-    named ``f#i`` of arity i for i >= 1.
+    The family member f_i is f itself for i = 0 and a fresh symbol named
+    ``f#i`` of arity i for 1 <= i <= aa(f).  up maps each f_i with
+    i < aa(f) to f_{i+1}, in constant order and then by i; base maps every
+    member of f's family to the constant f.
     """
 
     app: Symbol
     constants: frozenset[Symbol]
     aa: dict[str, int]
     constant_order: tuple[str, ...]
+    up: dict[Symbol, Symbol] = field(init=False, repr=False, compare=False)
+    base: dict[Symbol, Symbol] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.up = {}
+        self.base = {}
+        for name in self.constant_order:
+            members = [self.family(name, i) for i in range(self.aa[name] + 1)]
+            self.up.update(zip(members, members[1:]))
+            self.base.update(dict.fromkeys(members, members[0]))
 
     @staticmethod
     def family(base: str, i: int) -> Symbol:
@@ -72,21 +84,6 @@ class AtrsContext:
         if i == 0:
             return Symbol(base, 0)
         return Symbol(f"{base}#{i}", i)
-
-    def family_index(self, symbol: Symbol) -> tuple[str, int] | None:
-        """(base, i) if symbol is the i-th family member of a constant."""
-        if symbol.arity == 0 and symbol in self.constants:
-            return (symbol.name, 0)
-        if "#" in symbol.name:
-            base, _, suffix = symbol.name.rpartition("#")
-            if (
-                suffix.isdigit()
-                and int(suffix) == symbol.arity
-                and symbol.arity >= 1
-                and Symbol(base, 0) in self.constants
-            ):
-                return (base, symbol.arity)
-        return None
 
 
 def spine(app: Symbol, t: Term) -> tuple[Term, tuple[Term, ...]]:
@@ -139,25 +136,20 @@ def detect_atrs(trs: Trs, app_hint: str | None = None) -> AtrsContext:
     for rule in trs.rules:
         for side in (rule.lhs, rule.rhs):
             for s in subterms(side):
-                if not isinstance(s, Fun):
-                    continue
                 head, args = spine(app, s)
                 if isinstance(head, Fun) and head.symbol in constants:
                     name = head.symbol.name
-                    if len(args) > aa[name]:
-                        aa[name] = len(args)
+                    aa[name] = max(aa[name], len(args))
                     order.setdefault(name, None)
     for name in sorted(aa):
         order.setdefault(name, None)
 
+    ctx = AtrsContext(app, constants, aa, tuple(order))
     taken = {s.name for s in trs.signature}
-    for name, k in aa.items():
-        for i in range(1, k + 1):
-            if f"{name}#{i}" in taken:
-                raise SymbolClashError(
-                    f"fresh symbol name {name}#{i} already in signature"
-                )
-    return AtrsContext(app, constants, aa, tuple(order))
+    clashes = [s.name for s in ctx.up.values() if s.name in taken]
+    if clashes:
+        raise SymbolClashError(f"fresh symbol name {clashes[0]} already in signature")
+    return ctx
 
 
 def applicative_arity_of_term(ctx: AtrsContext, t: Term) -> int | None:
@@ -233,17 +225,17 @@ def curry_nf(
 
 
 def uncurrying_system(ctx: AtrsContext) -> Trs:
-    """The rules f_i(x1..xi) @ y -> f_{i+1}(x1..xi, y) for aa(f) > i >= 0.
+    """The rules f_i(x1..xi) @ y -> f_{i+1}(x1..xi, y) for aa(f) > i >= 0,
+    one per entry of ctx.up and in its order.
 
     Confluent and terminating; every term has a unique normal form.
     """
     rules = []
-    for name in ctx.constant_order:
-        for i in range(ctx.aa.get(name, 0)):
-            xs = tuple(Var(f"x{j + 1}") for j in range(i))
-            y = Var("y")
-            lhs = Fun(ctx.app, (Fun(ctx.family(name, i), xs), y))
-            rules.append(Rule(lhs, Fun(ctx.family(name, i + 1), xs + (y,))))
+    y = Var("y")
+    for lower, upper in ctx.up.items():
+        xs = tuple(Var(f"x{j + 1}") for j in range(lower.arity))
+        lhs = Fun(ctx.app, (Fun(lower, xs), y))
+        rules.append(Rule(lhs, Fun(upper, xs + (y,))))
     return Trs(rules, extra_signature=ctx.constants | {ctx.app})
 
 
@@ -255,12 +247,9 @@ def uncurry_nf(ctx: AtrsContext, t: Term) -> Term:
     args = tuple(uncurry_nf(ctx, a) for a in t.args)
     if t.symbol == ctx.app:
         left, right = args
-        if isinstance(left, Fun):
-            fam = ctx.family_index(left.symbol)
-            if fam is not None:
-                base, i = fam
-                if i < ctx.aa.get(base, 0):
-                    return Fun(ctx.family(base, i + 1), left.args + (right,))
+        upper = ctx.up.get(left.symbol) if isinstance(left, Fun) else None
+        if upper is not None:
+            return Fun(upper, left.args + (right,))
     return Fun(t.symbol, args)
 
 
@@ -348,11 +337,10 @@ def curry_back(ctx: AtrsContext, t: Term) -> Term:
         return t
     if t.symbol == ctx.app:
         return Fun(ctx.app, (curry_back(ctx, t.args[0]), curry_back(ctx, t.args[1])))
-    fam = ctx.family_index(t.symbol)
-    if fam is None:
+    base = ctx.base.get(t.symbol)
+    if base is None:
         raise UnknownSymbolError(f"symbol {t.symbol} outside signature and family")
-    base, _ = fam
-    out: Term = Fun(Symbol(base, 0))
+    out: Term = Fun(base)
     for a in t.args:
         out = Fun(ctx.app, (out, curry_back(ctx, a)))
     return out

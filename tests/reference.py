@@ -12,9 +12,10 @@ The recursive term enumeration below is the reference for
 atrs.complexity.terms_of_size: canonical terms of one size, variables
 first, then symbols in sorted order, rebuilt from the leaves on every call.
 
-Heights come from a depth-first search over these successors with no memo,
-relative successors from breadth-first modulo closures, and dc rows from
-every term with at most two variables.  Each of these spends a Budget, the
+Terms sort by a nested key, one tuple per subterm.  Heights come from a
+depth-first search over these successors with no memo, relative
+successors from breadth-first modulo closures, and dc rows from every
+term with at most two variables.  Each of these spends a Budget, the
 size of each term it visits, so a search that would not end, or would
 build ever larger terms, stops with BudgetExceeded instead.
 """
@@ -38,8 +39,15 @@ from atrs.terms import (
     substitute,
     subterm_at,
     subterms,
-    term_sort_key,
 )
+
+
+def term_sort_key(t: Term):
+    """The nested key behind atrs.terms.term_sort_key: variables before
+    function symbols, then lexicographic on (name, arity, argument keys)."""
+    if isinstance(t, Var):
+        return (0, t.name)
+    return (1, t.symbol.name, t.symbol.arity, tuple(term_sort_key(a) for a in t.args))
 
 
 def is_normal_form(trs: Trs, t: Term) -> bool:

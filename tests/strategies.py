@@ -6,7 +6,8 @@ app; system_pairs draws two systems over one such set.  Each system has
 1-4 rules.  A left-hand side is not a variable, has depth at most 3 and
 may repeat its variables; a right-hand side uses only the variables of its
 left-hand side.  Every drawn symbol is in the signature, even when no rule
-uses it.
+uses it.  terms draws terms of depth at most 4 over either kind of symbol
+set and the variables x and y.
 """
 
 from __future__ import annotations
@@ -70,4 +71,10 @@ def system_pairs():
     first-order or both applicative."""
     return st.one_of(_first_order_symbols(), _applicative_symbols()).flatmap(
         lambda symbols: st.tuples(_systems(symbols), _systems(symbols))
+    )
+
+
+def terms():
+    return st.one_of(_first_order_symbols(), _applicative_symbols()).flatmap(
+        lambda symbols: _terms(symbols, _VARS, 4)
     )

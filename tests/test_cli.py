@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from atrs import systems
+from atrs import cli, systems
 from atrs.cli import main
 from atrs.complexity import dc_relative_table
+from atrs.oracles import Failure, VerificationReport
 from atrs.parsing import parse_tmi, parse_trs
+from atrs.terms import Fun, Symbol, Var
 
 ROOT = Path(__file__).resolve().parent.parent
 TRS = ROOT / "trs"
@@ -422,20 +424,60 @@ def test_verify_other_properties_hold_on_samples(capsys):
         assert out.splitlines()[-1] == "holds"
 
 
+_FUEL_CASES = [
+    ("nf-preservation", ADD, 6, 1, 79, 90),
+    ("subterm-commutation", ADD, 6, 1, 238, 94),
+    ("ri-sim", ADD, 6, 1, 12, 8),
+    ("uncurried-step", SWITCH, 5, 2, 587, 237),
+]
+
+
 @pytest.mark.parametrize(
-    "prop, checked, exhausted",
-    [("nf-preservation", 79, 90), ("subterm-commutation", 238, 94)],
+    "prop, file, size, fuel, checked, exhausted",
+    _FUEL_CASES,
+    ids=[f"{case[0]}-{case[4]}-{case[5]}" for case in _FUEL_CASES],
 )
-def test_verify_reports_closure_fuel_as_undecided(capsys, prop, checked, exhausted):
+def test_verify_reports_closure_fuel_as_undecided(
+    capsys, prop, file, size, fuel, checked, exhausted
+):
     code, out, _ = run(
-        capsys, "verify", ADD, "--property", prop,
-        "--max-size", "6", "--fuel", "1", "--json",
+        capsys, "verify", file, "--property", prop,
+        "--max-size", str(size), "--fuel", str(fuel), "--json",
     )
     assert code == 2
     report = json.loads(out)
     assert report["status"] == "undecided"
     assert report["data"]["instances_checked"] == checked
     assert report["data"]["exhausted"] == exhausted
+
+
+def _one_failure(trs, max_size, fuel):
+    x = Var("x")
+    return VerificationReport(
+        "uncurried-step", 3, (Failure((x, Fun(Symbol("a", 0))), "x -> a", "none"),)
+    )
+
+
+def test_verify_renders_a_refuted_report(capsys, monkeypatch):
+    monkeypatch.setitem(cli._ORACLES, "uncurried-step", _one_failure)
+    code, out, _ = run(capsys, "verify", ADD, "--property", "uncurried-step")
+    assert code == 1
+    assert out.splitlines() == [
+        "property: uncurried-step",
+        "instances checked: 3",
+        "FAIL: expected x -> a; observed none",
+        "  instance: x | a",
+        "refuted",
+    ]
+    code, out, _ = run(
+        capsys, "verify", ADD, "--property", "uncurried-step", "--json"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "refuted"
+    assert report["data"]["failures"] == [
+        {"instance": ["x", "a"], "expected": "x -> a", "observed": "none"}
+    ]
 
 
 @pytest.mark.parametrize(
@@ -490,7 +532,8 @@ def test_parse_errors_exit_three(capsys, tmp_path):
 
 def test_internal_errors_exit_four(capsys):
     # a term nested deeper than the recursion limit still breaks the
-    # rewriting engine; that is a failure of atrs, not a refutation
+    # recursive parser (parsing.py term/primary); that is a failure of
+    # atrs, not a refutation
     depth = 12_000
     term = "add @ " + "(s @ " * depth + "0" + ")" * depth + " @ (s @ 0)"
     code, out, err = run(capsys, "dh", ADD, "--strategy", "innermost", "--term", term)

@@ -3,6 +3,10 @@ import pickle
 from pathlib import Path
 
 import pytest
+import reference
+import strategies
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import is_normal_form
 
 from atrs import terms
@@ -139,6 +143,15 @@ def test_canonical_renames_by_first_occurrence():
 def test_term_sort_key_orders_vars_before_funs():
     terms = [Fun(A), X, Fun(G, (X,)), Y]
     assert sorted(terms, key=term_sort_key) == [X, Y, Fun(A), Fun(G, (X,))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(strategies.terms(), min_size=2, max_size=8))
+def test_term_sort_key_orders_like_the_nested_key(ts):
+    for a in ts:
+        for b in ts:
+            nested = reference.term_sort_key(a) < reference.term_sort_key(b)
+            assert (term_sort_key(a) < term_sort_key(b)) == nested
 
 
 def test_rule_validation():

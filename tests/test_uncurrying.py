@@ -1,8 +1,12 @@
 import pytest
+import strategies
+from hypothesis import assume, given, settings
 from reference import is_normal_form
 
 from atrs import systems
+from atrs.complexity import enumerate_terms
 from atrs.parsing import parse_trs
+from atrs.rewriting import Finished, StrategyKind, normalize
 from atrs.terms import (
     Fun,
     Rule,
@@ -17,6 +21,7 @@ from atrs.uncurrying import (
     NotApplicativeError,
     NotLeftHeadVariableFreeError,
     SymbolClashError,
+    TransformError,
     UnknownSymbolError,
     applicative_arity_of_term,
     curry_back,
@@ -97,6 +102,18 @@ def test_detect_family_name_clash():
     trs = parse_trs("(VAR x) (RULES f @ x -> f#1)").trs
     with pytest.raises(SymbolClashError):
         detect_atrs(trs)
+    # g#1 is taken too, but the first clash in constant order is reported
+    trs = parse_trs("(VAR x) (RULES f @ x -> g @ x  a -> f#1  b -> g#1)").trs
+    with pytest.raises(SymbolClashError, match="fresh symbol name f#1 "):
+        detect_atrs(trs)
+
+
+def test_family_tables():
+    ctx = detect_atrs(systems.id_apply())
+    id0, id1, id2 = (ctx.family("id", i) for i in range(3))
+    f0, f1 = ctx.family("f", 0), ctx.family("f", 1)
+    assert list(ctx.up.items()) == [(id0, id1), (id1, id2), (f0, f1)]
+    assert ctx.base == {id0: id0, id1: id0, id2: id0, f0: f0, f1: f0}
 
 
 def test_spine_decomposition():
@@ -341,6 +358,9 @@ def test_curry_back_inverts_family_symbols():
     assert curry_back(ctx, t) == app(app(con("add"), X), con("0"))
     with pytest.raises(UnknownSymbolError):
         curry_back(ctx, Fun(Symbol("mul#1", 1), (X,)))
+    # aa(s) = 1, so s#2 is outside the family of s
+    with pytest.raises(UnknownSymbolError):
+        curry_back(ctx, Fun(Symbol("s#2", 2), (X, X)))
 
 
 def test_curry_back_is_many_to_one():
@@ -367,7 +387,33 @@ def test_curry_back_does_not_reflect_single_steps():
 def test_curry_back_at_most_doubles_size():
     res = transform(systems.addition())
     ctx = res.context
-    from atrs.complexity import enumerate_terms
-
     for t in enumerate_terms(res.combined.signature, 5):
         assert curry_back(ctx, t).size <= 2 * t.size
+
+
+def _transformed(trs):
+    """transform(trs), or None when uncurrying rejects trs."""
+    try:
+        return transform(trs)
+    except TransformError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.applicative_systems())
+def test_uncurry_nf_is_u_normalisation(trs):
+    res = _transformed(trs)
+    assume(res is not None)
+    for t in enumerate_terms(res.combined.signature, 5, max_vars=1):
+        got = normalize(res.u_rules, t, StrategyKind.FULL, 100)
+        assert got == Finished(uncurry_nf(res.context, t)), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.applicative_systems())
+def test_curry_back_inverts_uncurry_nf_on_source_terms(trs):
+    res = _transformed(trs)
+    assume(res is not None)
+    ctx = res.context
+    for t in enumerate_terms(ctx.constants | {ctx.app}, 6):
+        assert curry_back(ctx, uncurry_nf(ctx, t)) == t
