@@ -138,6 +138,8 @@ def _fill_table(
     max_size: int,
     max_vars: int,
 ) -> ComplexityTable:
+    if fuel < 1:
+        raise ValueError("fuel must be positive")
     enumeration = _Enumeration(signature, max_vars)
     best = 0
     witness: Term | None = None
@@ -171,6 +173,8 @@ def detect_innermost_nontermination(
     otherwise FuelExhausted if some start term ran out of fuel, else
     Finished(number of start terms), which is no proof of termination.
     """
+    if fuel < 1:
+        raise ValueError("fuel must be positive")
     search = strategy_search(trs, StrategyKind.INNERMOST)
     terms = enumerate_terms(trs.signature, max_term_size, max_vars)
     exhausted, count = False, 0

@@ -9,7 +9,7 @@ Rewrite systems use the classic sectioned format
     )
 
 Juxtaposition is not application: application is written with the infix
-`@` (left-associative) and desugars to a binary symbol named `app`, or
+`@` (left-associative) and desugars to the binary symbol `terms.APP`, or
 with any ordinary binary symbol.  Identifiers not declared in (VAR ...)
 are function symbols; bare ones become constants, with a warning.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .terms import Fun, Rule, Symbol, Term, Trs, Var, variables
+from .terms import APP, Fun, Rule, Symbol, Term, Trs, Var, variables
 from .tmi import MatrixInterp, Matrix, MissingSymbolError, SymbolInterp, Vector
 
 
@@ -47,42 +47,33 @@ class Token:
     col: int
 
 
-_IDENT = re.compile(r"[A-Za-z0-9_#'.!?*+=<>^~&]+")
+_IDENT = r"[A-Za-z0-9_#'.!?*+=<>^~&]+"
 
 
-def _tokenize(text: str, punct: str) -> list[Token]:
+def _scanner(punct: str) -> re.Pattern[str]:
+    """Skips whitespace, then matches one of: a punctuation character (group
+    1), `->` (2), an identifier (3) or any other character (4, an error),
+    tried in that order."""
+    return re.compile(rf"\s*(?:([{re.escape(punct)}])|(->)|({_IDENT})|(\S))")
+
+
+_TRS_SCANNER = _scanner("(),@")
+_TMI_SCANNER = _scanner("/:[];,+")
+
+
+def _tokenize(text: str, scanner: re.Pattern[str]) -> list[Token]:
+    """Tokens line by line; a column counts characters since the last `\n`."""
     out: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c in punct:
-            out.append(Token(c, c, line, col))
-            col += 1
-            i += 1
-            continue
-        if text.startswith("->", i):
-            out.append(Token("->", "->", line, col))
-            col += 2
-            i += 2
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group()
-            out.append(Token("ident", word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    out.append(Token("eof", "end of input", line, col))
+    lines = text.split("\n")
+    for line, source in enumerate(lines, 1):
+        for m in scanner.finditer(source):
+            group = m.lastindex
+            word = m[group]
+            if group == 4:
+                raise ParseError(f"unexpected character {word!r}", line, m.start(4) + 1)
+            kind = "ident" if group == 3 else word
+            out.append(Token(kind, word, line, m.start(group) + 1))
+    out.append(Token("eof", "end of input", len(lines), len(lines[-1]) + 1))
     return out
 
 
@@ -117,9 +108,6 @@ class InputProblem:
     warnings: tuple[str, ...] = ()
 
 
-APP_NAME = "app"
-
-
 class _TrsParser:
     def __init__(
         self,
@@ -127,24 +115,24 @@ class _TrsParser:
         declared_vars: frozenset[str] | set[str] = frozenset(),
         arities: dict[str, int] | None = None,
     ):
-        self.toks = _Tokens(_tokenize(text, "(),@"))
+        self.toks = _Tokens(_tokenize(text, _TRS_SCANNER))
         self.vars = set(declared_vars)
         self.arities = dict(arities or {})
         self.rules: list[Rule] = []
         self.saw_app = False
         self.rules_seen = False
 
-    def symbol(self, tok: Token, arity: int) -> Symbol:
-        old = self.arities.get(tok.text)
+    def symbol(self, name: str, arity: int, tok: Token) -> Symbol:
+        old = self.arities.get(name)
         if old is not None and old != arity:
             raise ParseError(
-                f"arity mismatch for {tok.text}: {arity} arguments here,"
+                f"arity mismatch for {name}: {arity} arguments here,"
                 f" {old} elsewhere",
                 tok.line,
                 tok.col,
             )
-        self.arities[tok.text] = arity
-        return Symbol(tok.text, arity)
+        self.arities[name] = arity
+        return Symbol(name, arity)
 
     def primary(self) -> Term:
         tok = self.toks.peek()
@@ -166,10 +154,10 @@ class _TrsParser:
                     self.toks.take()
                     args.append(self.term())
                 self.toks.expect(")")
-                return Fun(self.symbol(tok, len(args)), tuple(args))
+                return Fun(self.symbol(tok.text, len(args), tok), tuple(args))
             if tok.text in self.vars:
                 return Var(tok.text)
-            return Fun(self.symbol(tok, 0))
+            return Fun(self.symbol(tok.text, 0, tok))
         raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
 
     def term(self) -> Term:
@@ -177,8 +165,7 @@ class _TrsParser:
         while self.toks.peek().kind == "@":
             at = self.toks.take()
             self.saw_app = True
-            app = self.symbol(Token("ident", APP_NAME, at.line, at.col), 2)
-            t = Fun(app, (t, self.primary()))
+            t = Fun(self.symbol(APP.name, 2, at), (t, self.primary()))
         return t
 
     def rule(self) -> Rule:
@@ -232,7 +219,7 @@ class _TrsParser:
         return InputProblem(
             Trs(self.rules),
             frozenset(self.vars),
-            APP_NAME if self.saw_app else None,
+            APP.name if self.saw_app else None,
             origin,
             warnings,
         )
@@ -259,134 +246,95 @@ def parse_term(
     return t
 
 
-def _is_app(t: Term) -> bool:
-    return isinstance(t, Fun) and t.symbol.name == APP_NAME and t.symbol.arity == 2
-
-
-def format_term(t: Term, infix_app: bool = True) -> str:
-    """Render a term in the input syntax; `app` prints as infix `@` unless
-    disabled."""
+def format_term(t: Term) -> str:
+    """Render a term in the input syntax, with APP as infix `@`."""
     if isinstance(t, Var):
         return t.name
-    if infix_app and _is_app(t):
-        left = format_term(t.args[0], infix_app)
-        right = format_term(t.args[1], infix_app)
-        if _is_app(t.args[1]):
-            right = f"({right})"
-        return f"{left} @ {right}"
+    if t.symbol is APP:
+        left, right = t.args
+        text = format_term(right)
+        if isinstance(right, Fun) and right.symbol is APP:
+            text = f"({text})"
+        return f"{format_term(left)} @ {text}"
     if not t.args:
         return t.symbol.name
-    args = ", ".join(format_term(a, infix_app) for a in t.args)
-    return f"{t.symbol.name}({args})"
+    return f"{t.symbol.name}({', '.join(map(format_term, t.args))})"
 
 
-def format_rule(rule: Rule, infix_app: bool = True) -> str:
-    lhs = format_term(rule.lhs, infix_app)
-    rhs = format_term(rule.rhs, infix_app)
-    return f"{lhs} -> {rhs}"
+def format_rule(rule: Rule) -> str:
+    return f"{format_term(rule.lhs)} -> {format_term(rule.rhs)}"
 
 
-def format_trs(
-    trs: Trs,
-    declared_vars: frozenset[str] | set[str] | None = None,
-    infix_app: bool = True,
-) -> str:
-    """Render a system as a parseable sectioned file."""
-    if declared_vars is None:
-        names: dict[str, None] = {}
-        for rule in trs.rules:
-            for name in variables(rule.lhs) + variables(rule.rhs):
-                names[name] = None
-        declared_vars = set(names)
-    lines = [f"(VAR {' '.join(sorted(declared_vars))})".replace("(VAR )", "(VAR)")]
-    lines.append("(RULES")
-    for rule in trs.rules:
-        lines.append(f"  {format_rule(rule, infix_app)}")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
+def format_trs(trs: Trs) -> str:
+    """Render a system as a parseable sectioned file that declares the
+    variables of its left-hand sides, which Rule makes all its variables."""
+    names = sorted({name for rule in trs.rules for name in variables(rule.lhs)})
+    lines = [" ".join(["(VAR", *names]) + ")", "(RULES"]
+    lines += [f"  {format_rule(rule)}" for rule in trs.rules]
+    return "\n".join(lines) + "\n)\n"
 
 
-def format_problem(problem: InputProblem) -> str:
-    return format_trs(
-        problem.trs, problem.declared_vars, infix_app=problem.app_hint == APP_NAME
-    )
-
-
-def _int_token(toks: _Tokens) -> tuple[int, Token]:
+def _number(toks: _Tokens) -> int:
     tok = toks.expect("ident")
     if not tok.text.isdigit():
         raise ParseError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
-    return int(tok.text), tok
+    return int(tok.text)
 
 
-class _Dim:
-    """Tracks the inferred dimension and rejects later disagreements."""
-
-    def __init__(self) -> None:
-        self.value: int | None = None
-
-    def check(self, n: int, tok: Token, what: str) -> None:
-        if self.value is None:
-            self.value = n
-        elif self.value != n:
-            raise ParseError(
-                f"dimension mismatch: {what} has {n} entries, expected {self.value}",
-                tok.line,
-                tok.col,
-            )
-
-
-def _parse_row(toks: _Tokens) -> list[int]:
+def _row(toks: _Tokens) -> tuple[int, ...]:
     row = []
     while toks.peek().kind == "ident":
-        row.append(_int_token(toks)[0])
-    return row
+        row.append(_number(toks))
+    return tuple(row)
 
 
-def _parse_matrix(toks: _Tokens, dim: _Dim) -> Matrix:
+def _bracket(toks: _Tokens, what: str, dim: int | None) -> tuple[tuple, int]:
+    """Read a "matrix" `[ row ; row ; ... ]` or a "vector" `[ n ; n ; ... ]`.
+    The first bracket of a file fixes the dimension; the item count and a
+    matrix's row lengths must equal it.  Returns the items and the dimension."""
+    item = _row if what == "matrix" else _number
     open_tok = toks.expect("[")
-    rows = [_parse_row(toks)]
+    items = [item(toks)]
     while toks.peek().kind == ";":
         toks.take()
-        rows.append(_parse_row(toks))
+        items.append(item(toks))
     toks.expect("]")
-    dim.check(len(rows), open_tok, "matrix")
-    for row in rows:
-        dim.check(len(row), open_tok, "matrix row")
-    return tuple(tuple(row) for row in rows)
-
-
-def _parse_vector(toks: _Tokens, dim: _Dim) -> Vector:
-    open_tok = toks.expect("[")
-    comps = [_int_token(toks)[0]]
-    while toks.peek().kind == ";":
-        toks.take()
-        comps.append(_int_token(toks)[0])
-    toks.expect("]")
-    dim.check(len(comps), open_tok, "vector")
-    return tuple(comps)
+    dim = dim or len(items)
+    counts = [(what, len(items))]
+    if what == "matrix":
+        counts += [("matrix row", len(row)) for row in items]
+    for part, n in counts:
+        if n != dim:
+            raise ParseError(
+                f"dimension mismatch: {part} has {n} entries, expected {dim}",
+                open_tok.line,
+                open_tok.col,
+            )
+    return tuple(items), dim
 
 
 def parse_tmi(text: str, signature=None) -> MatrixInterp:
     """Parse a matrix interpretation; with a signature, require it covered."""
-    toks = _Tokens(_tokenize(text, "/:[];,+"))
+    toks = _Tokens(_tokenize(text, _TMI_SCANNER))
     entries: dict[Symbol, SymbolInterp] = {}
-    dim = _Dim()
+    dim: int | None = None
     while toks.peek().kind != "eof":
         name = toks.expect("ident")
         toks.expect("/")
-        arity, _ = _int_token(toks)
+        arity = _number(toks)
         toks.expect(":")
         toks.expect("[")
         matrices: list[Matrix] = []
         if toks.peek().kind == "[":
-            matrices.append(_parse_matrix(toks, dim))
-            while toks.peek().kind == ",":
+            while True:
+                matrix, dim = _bracket(toks, "matrix", dim)
+                matrices.append(matrix)
+                if toks.peek().kind != ",":
+                    break
                 toks.take()
-                matrices.append(_parse_matrix(toks, dim))
         toks.expect("]")
         toks.expect("+")
-        vector = _parse_vector(toks, dim)
+        vector, dim = _bracket(toks, "vector", dim)
         if len(matrices) != arity:
             raise ParseError(
                 f"{name.text}/{arity} has {len(matrices)} matrices",
@@ -401,7 +349,7 @@ def parse_tmi(text: str, signature=None) -> MatrixInterp:
                 name.col,
             )
         entries[sym] = (tuple(matrices), vector)
-    if dim.value is None:
+    if dim is None:
         raise ParseError("no interpretation blocks", 1, 1)
     if signature is not None:
         for sym in sorted(set(signature)):
@@ -409,7 +357,7 @@ def parse_tmi(text: str, signature=None) -> MatrixInterp:
                 raise MissingSymbolError(
                     f"no interpretation for {sym.name}/{sym.arity}"
                 )
-    return MatrixInterp(dim.value, entries)
+    return MatrixInterp(dim, entries)
 
 
 def format_tmi(interp: MatrixInterp) -> str:

@@ -113,6 +113,10 @@ class Fun:
 
 Term = Union[Var, Fun]
 
+#: The application symbol of an ATRS: the input's infix ``@`` desugars to it,
+#: format_term prints it infix, and detect_atrs takes it by default.
+APP = Symbol("app", 2)
+
 #: A position is a path of 1-based argument indices; () is the root.
 Position = tuple[int, ...]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .terms import (
+    APP,
     Fun,
     Rule,
     Symbol,
@@ -22,10 +23,6 @@ from .terms import (
     subterms,
     variables,
 )
-
-#: The symbol the concrete syntax's infix ``@`` desugars to.
-DEFAULT_APP = Symbol("app", 2)
-
 
 class TransformError(ValueError):
     """Base class for errors while analysing or transforming an ATRS."""
@@ -101,8 +98,8 @@ def detect_atrs(trs: Trs, app_hint: str | None = None) -> AtrsContext:
 
     The signature must consist of nullary symbols plus at most one binary
     application symbol; with several binary symbols an app_hint naming one of
-    them is required.  A constants-only system is accepted and a fresh
-    application symbol is synthesised for it.
+    them is required.  A constants-only system is accepted, with APP as its
+    application symbol.
     """
     binaries = sorted(s for s in trs.signature if s.arity == 2)
     bad = sorted(s for s in trs.signature if s.arity not in (0, 2))
@@ -128,7 +125,7 @@ def detect_atrs(trs: Trs, app_hint: str | None = None) -> AtrsContext:
             f"several binary symbols could be application: {binaries}"
         )
     else:
-        app = binaries[0] if binaries else DEFAULT_APP
+        app = binaries[0] if binaries else APP
 
     constants = frozenset(s for s in trs.signature if s.arity == 0)
     aa = {c.name: 0 for c in constants}
@@ -170,7 +167,7 @@ def is_left_head_variable_free(ctx: AtrsContext, trs: Trs) -> bool:
     )
 
 
-def currying_system(symbols: set[Symbol] | frozenset[Symbol], app: Symbol = DEFAULT_APP) -> Trs:
+def currying_system(symbols: set[Symbol] | frozenset[Symbol], app: Symbol = APP) -> Trs:
     """Rules flattening every n-ary symbol into applications of a constant.
 
     For f of arity n the rules are f_{i+1}(x1..xi, y) -> f_i(x1..xi) @ y for
@@ -193,7 +190,7 @@ def currying_system(symbols: set[Symbol] | frozenset[Symbol], app: Symbol = DEFA
 
 
 def curry_nf(
-    symbols: set[Symbol] | frozenset[Symbol], t: Term, app: Symbol = DEFAULT_APP
+    symbols: set[Symbol] | frozenset[Symbol], t: Term, app: Symbol = APP
 ) -> Term:
     """The unique normal form of t under the currying system of symbols.
 

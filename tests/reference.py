@@ -13,11 +13,11 @@ atrs.complexity.terms_of_size: canonical terms of one size, variables
 first, then symbols in sorted order, rebuilt from the leaves on every call.
 
 Terms sort by a nested key, one tuple per subterm.  Heights come from a
-depth-first search over these successors with no memo, relative
-successors from breadth-first modulo closures, and dc rows from every
-term with at most two variables.  Each of these spends a Budget, the
-size of each term it visits, so a search that would not end, or would
-build ever larger terms, stops with BudgetExceeded instead.
+depth-first search over these successors with no memo, closures from a
+breadth-first search, relative successors from full modulo closures, and
+dc rows from every term with at most two variables.  Each of these spends
+a Budget, the size of each term it visits, so a search that would not end,
+or would build ever larger terms, stops with BudgetExceeded instead.
 """
 
 from __future__ import annotations
@@ -166,15 +166,17 @@ def height(
     return longest(t, {t})
 
 
-def star(trs: Trs, t: Term, budget: Budget) -> set[Term]:
-    """Every term reachable from t by full rewriting, t included, by a
+def star(
+    successors: Callable[[Term], Iterable[Term]], t: Term, budget: Budget
+) -> set[Term]:
+    """Every term reachable from t over successors, t included, by a
     breadth-first search."""
     seen = {t}
     todo = deque([t])
     while todo:
         s = todo.popleft()
         budget.spend(s)
-        for u in successors(trs, s, StrategyKind.FULL):
+        for u in successors(s):
             if u not in seen:
                 seen.add(u)
                 todo.append(u)
@@ -186,11 +188,15 @@ def relative_successors(
 ) -> list[Term]:
     """Every u with t ->modulo* . ->main . ->modulo* u, in term_sort_key
     order, the order in which the relative search walks them."""
+
+    def modulo_steps(s: Term) -> list[Term]:
+        return successors(modulo, s, StrategyKind.FULL)
+
     found = {
         v
-        for a in star(modulo, t, budget)
+        for a in star(modulo_steps, t, budget)
         for u in successors(main, a, StrategyKind.FULL)
-        for v in star(modulo, u, budget)
+        for v in star(modulo_steps, u, budget)
     }
     return sorted(found, key=term_sort_key)
 

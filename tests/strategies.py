@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from atrs.terms import Fun, Rule, Symbol, Trs, Var, variables
+from atrs.terms import APP, Fun, Rule, Symbol, Trs, Var, variables
 
 _NAMES = "abcd"
 _VARS = ("x", "y")
@@ -54,7 +54,7 @@ def _first_order_symbols():
 
 def _applicative_symbols():
     return st.integers(2, 4).map(
-        lambda n: tuple(Symbol(c, 0) for c in _NAMES[:n]) + (Symbol("app", 2),)
+        lambda n: tuple(Symbol(c, 0) for c in _NAMES[:n]) + (APP,)
     )
 
 

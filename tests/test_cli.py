@@ -250,6 +250,20 @@ def test_dc_rejects_negative_max_vars(capsys):
     assert "dc(3) = 0   witness: 0" in out
 
 
+def test_searches_reject_fuel_zero_before_enumerating(capsys):
+    commands = (
+        ("dc", ADD),
+        ("dc", ADD, "--relative-to", ADD),
+        ("verify", ADD, "--property", "innermost-loop"),
+    )
+    for command in commands:
+        for size in ("0", "3"):
+            code, out, err = run(capsys, *command, "--max-size", size,
+                                 "--fuel", "0")
+            assert (code, out) == (3, "")
+            assert "fuel must be positive" in err
+
+
 def test_dc_relative(capsys, tmp_path):
     modulo = tmp_path / "modulo.trs"
     modulo.write_text("(RULES f -> g)\n", encoding="utf-8")

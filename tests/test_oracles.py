@@ -1,3 +1,6 @@
+import strategies
+from hypothesis import assume, given, settings
+
 from atrs import systems
 from atrs.oracles import (
     Exhausted,
@@ -10,7 +13,7 @@ from atrs.oracles import (
     verify_uncurried_step,
 )
 from atrs.terms import Trs, Var
-from atrs.uncurrying import detect_atrs
+from atrs.uncurrying import TransformError, detect_atrs, transform
 
 FUEL = 200_000
 
@@ -81,3 +84,21 @@ def test_report_flags():
     assert undecided.ok
     assert undecided.exhausted
     assert VerificationReport("p", 0).vacuous
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.applicative_systems())
+def test_simulation_oracles_hold_on_random_atrss(trs):
+    """The simulation lemmas on systems nobody chose: no oracle may refute
+    an instance of an ATRS that uncurrying accepts."""
+    try:
+        transform(trs)
+    except TransformError:
+        assume(False)
+    for oracle in (
+        verify_uncurried_step,
+        verify_rightmost_simulation,
+        verify_nf_preservation,
+    ):
+        report = oracle(trs, 4, 200)
+        assert report.failures == (), report.failures

@@ -1,9 +1,11 @@
 import pytest
+import strategies
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atrs import systems
 from atrs.parsing import (
     ParseError,
-    format_problem,
     format_rule,
     format_term,
     format_tmi,
@@ -12,11 +14,10 @@ from atrs.parsing import (
     parse_tmi,
     parse_trs,
 )
-from atrs.terms import Fun, Symbol, Var
-from atrs.tmi import MissingSymbolError
+from atrs.terms import APP, Fun, Symbol, Var, term_symbols
+from atrs.tmi import MatrixInterp, MissingSymbolError
 from atrs.uncurrying import transform
 
-APP = Symbol("app", 2)
 X = Var("x")
 
 
@@ -136,9 +137,6 @@ def test_identifier_charset_is_liberal():
 def test_format_term_parenthesises_only_where_needed():
     t = app(app(con("f"), app(con("g"), con("h"))), app(con("a"), con("b")))
     assert format_term(t) == "f @ (g @ h) @ (a @ b)"
-    assert format_term(t, infix_app=False) == (
-        "app(app(f, app(g, h)), app(a, b))"
-    )
     s1 = Fun(Symbol("s#1", 1), (X,))
     assert format_term(app(s1, X)) == "s#1(x) @ x"
     assert format_rule(parse_trs("(VAR x) (RULES id @ x -> x)").trs.rules[0]) == (
@@ -157,11 +155,24 @@ def test_format_trs_declares_variables():
 def test_print_parse_round_trip_on_samples():
     for name in sorted(systems.SOURCES):
         problem = systems.problem(name)
-        again = parse_trs(format_problem(problem))
+        again = parse_trs(format_trs(problem.trs))
         assert again.trs.rules == problem.trs.rules
         combined = transform(problem.trs).combined
         back = parse_trs(format_trs(combined))
         assert back.trs.rules == combined.rules
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.terms())
+def test_parse_term_inverts_format_term(t):
+    arities = {f.name: f.arity for f in term_symbols(t)}
+    assert parse_term(format_term(t), {"x", "y"}, arities) == t
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(strategies.first_order_systems(), strategies.applicative_systems()))
+def test_parse_trs_inverts_format_trs(trs):
+    assert parse_trs(format_trs(trs)).trs.rules == trs.rules
 
 
 def test_parse_term_respects_declared_variables():
@@ -178,6 +189,27 @@ def test_tmi_round_trip():
     again = parse_tmi(format_tmi(interp))
     assert again == interp
     assert "add#2/2" in format_tmi(interp)
+
+
+@st.composite
+def interpretations(draw):
+    """Interpretations of dimension 1-3 with entries up to 20 for 1-4
+    symbols; one name may come with several arities."""
+    dim = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(0, 20)] * dim)
+    matrix = st.tuples(*[vector] * dim)
+    names = st.sampled_from(["a", "s#1", "add#2"])
+    symbol = st.builds(Symbol, names, st.integers(0, 2))
+    symbols = draw(st.lists(symbol, min_size=1, max_size=4, unique=True))
+    return MatrixInterp(
+        dim, {f: (draw(st.tuples(*[matrix] * f.arity)), draw(vector)) for f in symbols}
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(interpretations())
+def test_parse_tmi_inverts_format_tmi(interp):
+    assert parse_tmi(format_tmi(interp)) == interp
 
 
 def test_tmi_parse_shapes():

@@ -1,9 +1,11 @@
+import functools
 from collections import deque
 
 import pytest
 import reference
 import strategies
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atrs import systems
 from atrs.complexity import dc_table, detect_innermost_nontermination, enumerate_terms
@@ -16,6 +18,7 @@ from atrs.rewriting import (
     Finished,
     FuelExhausted,
     FuelExhaustedError,
+    HeightSearch,
     LoopDetected,
     StrategyKind,
     clear_caches,
@@ -125,6 +128,37 @@ def test_steps_on_random_first_order_systems_agree_with_the_reference(trs):
 @given(strategies.applicative_systems())
 def test_steps_on_random_applicative_systems_agree_with_the_reference(trs):
     _agrees_with_the_reference(trs)
+
+
+_BUDGET = 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(strategies.first_order_systems(), strategies.applicative_systems()))
+def test_heights_and_closures_equal_the_reference_on_random_systems(trs):
+    """One search and one closure per strategy serve every start term, so
+    their memos and the search's normal set carry over as in a dc table.
+    A start term the reference cannot finish within its budget is skipped;
+    for the others the fuel suffices, since each counts distinct terms."""
+    for kind in StrategyKind:
+        steps = functools.cache(lambda s: reference.successors(trs, s, kind))
+        search, closure = HeightSearch(trs, kind), Closure(trs, kind, _BUDGET)
+        for t in enumerate_terms(trs.signature, 4):
+            try:
+                want = reference.height(steps, t, reference.Budget(_BUDGET))
+            except reference.BudgetExceeded:
+                pass
+            else:
+                got = search.height(t, _BUDGET)
+                if want is None:
+                    assert isinstance(got, LoopDetected), (t, kind)
+                else:
+                    assert got == Finished(want), (t, kind)
+            try:
+                reached = reference.star(steps, t, reference.Budget(_BUDGET))
+            except reference.BudgetExceeded:
+                continue
+            assert closure.star(t) == reached, (t, kind)
 
 
 _INDEX_EDGE_CASES = {

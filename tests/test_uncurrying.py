@@ -8,6 +8,7 @@ from atrs.complexity import enumerate_terms
 from atrs.parsing import parse_trs
 from atrs.rewriting import Finished, StrategyKind, normalize
 from atrs.terms import (
+    APP,
     Fun,
     Rule,
     Symbol,
@@ -16,7 +17,6 @@ from atrs.terms import (
     canonical_rules,
 )
 from atrs.uncurrying import (
-    DEFAULT_APP,
     AmbiguousApplicationError,
     NotApplicativeError,
     NotLeftHeadVariableFreeError,
@@ -35,7 +35,6 @@ from atrs.uncurrying import (
     uncurrying_system,
 )
 
-APP = DEFAULT_APP
 X = Var("x")
 Y = Var("y")
 
