@@ -8,5 +8,5 @@ certificates.  Bundled oracles re-verify the simulation properties the
 transformation relies on, at small scale, by exhaustive search.
 
 Names are imported from the modules that define them: terms, parsing,
-rewriting, complexity, uncurrying, tmi, oracles, systems and cli.
+rewriting, complexity, uncurrying, tmi, oracles and cli.
 """

@@ -6,8 +6,8 @@ main-system steps modulo a second system.  Tables are computed by brute force
 over a canonical enumeration of terms, so they are exact at desk scale.  The
 enumeration builds each size from cached argument lists of smaller sizes,
 made only when a larger term first needs them; the row being tabled is
-streamed, not stored.  The innermost-loop search walks the same enumeration
-looking for an innermost cycle.
+streamed, not stored.  The innermost-loop search streams the same
+enumeration and stops at the first innermost cycle.
 """
 
 from __future__ import annotations
@@ -125,10 +125,6 @@ class ComplexityTable:
     loop: LoopWitness | None = None
     fuel_exhausted_on: Term | None = None
 
-    @property
-    def complete(self) -> bool:
-        return self.incomplete_at is None
-
 
 def _fill_table(
     table: ComplexityTable,
@@ -176,15 +172,17 @@ def detect_innermost_nontermination(
     if fuel < 1:
         raise ValueError("fuel must be positive")
     search = strategy_search(trs, StrategyKind.INNERMOST)
-    terms = enumerate_terms(trs.signature, max_term_size, max_vars)
+    enumeration = _Enumeration(trs.signature, max_vars)
     exhausted, count = False, 0
-    for count, t in enumerate(terms, 1):
-        if t in search.memo:
-            continue
-        outcome = search.height(t, fuel)
-        if isinstance(outcome, LoopDetected):
-            return outcome
-        exhausted = exhausted or isinstance(outcome, FuelExhausted)
+    for n in range(1, max_term_size + 1):
+        for t, _ in enumeration.stream(n):
+            count += 1
+            if t in search.memo:
+                continue
+            outcome = search.height(t, fuel)
+            if isinstance(outcome, LoopDetected):
+                return outcome
+            exhausted = exhausted or isinstance(outcome, FuelExhausted)
     return FuelExhausted() if exhausted else Finished(count)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import systems
 from .complexity import enumerate_terms
 from .rewriting import (
     Closure,
@@ -21,7 +20,7 @@ from .rewriting import (
     redexes,
     successors,
 )
-from .terms import Fun, Symbol, Term, Trs, subterms, term_sort_key
+from .terms import Term, Trs, subterms, term_sort_key
 from .uncurrying import AtrsContext, transform, uncurry_nf, uncurrying_system
 
 # Closures of the uncurrying rules alone are small (the system is terminating
@@ -223,61 +222,3 @@ def _proper_subterms(t: Term) -> list[Term]:
     """Distinct proper subterms, outermost first."""
     return list(dict.fromkeys(subterms(t)))[1:]
 
-
-def verify_innermost_weakening_fails() -> VerificationReport:
-    """The rightmost restriction in the simulation property is essential.
-
-    On the fixed system {f -> g, f x -> g x, a -> b}: the innermost (but not
-    rightmost) step f(a) -> g(a), read through the uncurrying reduct f#1(a),
-    admits no innermost continuation meeting a reduct of g(a); the same
-    source read through the rightmost-innermost step does.  The report holds
-    iff both findings are reproduced exactly.
-    """
-    trs = systems.parallel_redexes()
-    res = transform(trs)
-    ctx = res.context
-    app = ctx.app
-    f, g, a = Fun(Symbol("f", 0)), Fun(Symbol("g", 0)), Fun(Symbol("a", 0))
-    f_a = Fun(app, (f, a))
-    g_a = Fun(app, (g, a))
-    f1_a = Fun(ctx.family("f", 1), (a,))
-    u_reach = Closure(res.u_rules, StrategyKind.FULL, _U_FUEL)
-    i_reach = Closure(res.combined, StrategyKind.INNERMOST, _U_FUEL)
-
-    failures: list[Failure] = []
-    # premises: f(a) uncurries to f#1(a), steps innermost to g(a), and its
-    # rightmost-innermost step contracts a instead
-    if f1_a not in u_reach.star(f_a):
-        failures.append(Failure((f_a, f1_a), "uncurrying reduct exists", "missing"))
-    inner = successors(trs, f_a, StrategyKind.INNERMOST)
-    if g_a not in inner:
-        failures.append(Failure((f_a, g_a), "innermost step exists", "missing"))
-    ri = successors(trs, f_a, StrategyKind.RIGHTMOST_INNERMOST)
-    if g_a in ri:
-        failures.append(
-            Failure((f_a, g_a), "step is not rightmost-innermost", "it is")
-        )
-
-    iplus = i_reach.plus(f1_a)
-    weak_targets = u_reach.star(g_a)
-    if not iplus.isdisjoint(weak_targets):
-        failures.append(
-            Failure(
-                (f1_a, g_a),
-                "no innermost continuation meets a reduct of the target",
-                "a common term exists, counterexample not reproduced",
-            )
-        )
-    checked = 1
-
-    for u in ri:
-        checked += 1
-        if iplus.isdisjoint(u_reach.star(u)):
-            failures.append(
-                Failure(
-                    (f1_a, u),
-                    "innermost continuation meets a reduct of the rightmost target",
-                    "no common term found",
-                )
-            )
-    return VerificationReport("innermost-weakening-fails", checked, tuple(failures))

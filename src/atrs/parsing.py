@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import APP, Fun, Rule, Symbol, Term, Trs, Var, variables
 from .tmi import MatrixInterp, Matrix, MissingSymbolError, SymbolInterp, Vector
@@ -39,8 +40,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -14,7 +14,7 @@ the relative successors of a main system modulo a second one instead, and
 only these successors and the loop witness differ between the two.
 
 Closure is the one reachability search.  It gives the memoized `->*` and
-`->+` sets behind reachable, relative_successors and the oracles, and its
+`->+` sets behind relative_successors and the oracles, and its
 fuel bounds each set it returns.
 """
 
@@ -150,12 +150,6 @@ _TABLES = {
 }
 
 
-def clear_caches() -> None:
-    """Drop the per-(system, term) step caches."""
-    for table in (_root_steps, *_TABLES.values()):
-        table.cache_clear()
-
-
 def is_normal_form_fast(trs: Trs, t: Term) -> bool:
     """Cached normal-form test; tests/reference.py has the definition."""
     return not _innermost_steps(trs, t)
@@ -238,25 +232,16 @@ class Closure:
         return out
 
 
-def reachable(trs: Trs, t: Term, fuel: int) -> set[Term]:
-    """All terms reachable from t by full rewriting, t included."""
-    return Closure(trs, StrategyKind.FULL, fuel).star(t)
+def relative_successors(main: Trs, closure: Closure, t: Term) -> list[Term]:
+    """All u with t ->modulo* . ->main . ->modulo* u in term_sort_key order,
+    where closure is a full-rewriting Closure of the modulo system.
 
-
-def relative_successors(main: Trs, modulo: Trs, t: Term, fuel: int) -> list[Term]:
-    """All u with t ->modulo* . ->main . ->modulo* u, deterministically ordered.
-
-    The pre-closure and every post-closure come from one modulo Closure, so
-    fuel bounds each of these sets, and one exceeding it raises
+    The pre-closure and every post-closure come from closure, so its fuel
+    bounds each of these sets, and one exceeding it raises
     FuelExhaustedError.  An empty main system yields no successors even
     though the relative relation is then empty by definition rather than by
     search.
     """
-    return _relative_successors(main, Closure(modulo, StrategyKind.FULL, fuel), t)
-
-
-def _relative_successors(main: Trs, closure: Closure, t: Term) -> list[Term]:
-    """relative_successors, the modulo closures taken from closure."""
     star = closure.star
     post: set[Term] = set()
     for a in star(t):
@@ -437,7 +422,7 @@ class RelativeHeightSearch(HeightSearch):
         return Closure(self.modulo, StrategyKind.FULL, self.fuel)
 
     def _successors(self, t: Term) -> tuple[Term, ...]:
-        return tuple(_relative_successors(self.main, self._modulo_closure, t))
+        return tuple(relative_successors(self.main, self._modulo_closure, t))
 
     def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:
         """A shortest combined trace from cycle[0] back to itself with at

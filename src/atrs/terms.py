@@ -133,10 +133,6 @@ def canonical_var_name(i: int) -> str:
     return f"v{i}"
 
 
-class InvalidPositionError(ValueError):
-    """Raised when a position does not exist in a term."""
-
-
 def subterms(t: Term) -> Iterator[Term]:
     """All subterms of t in preorder, the term itself first."""
     stack = [t]
@@ -145,56 +141,6 @@ def subterms(t: Term) -> Iterator[Term]:
         yield s
         if isinstance(s, Fun):
             stack.extend(reversed(s.args))
-
-
-def positions(t: Term) -> tuple[Position, ...]:
-    """All positions of t in preorder; len(positions(t)) == t.size."""
-    out: list[Position] = []
-    stack: list[tuple[Position, Term]] = [((), t)]
-    while stack:
-        p, s = stack.pop()
-        out.append(p)
-        if isinstance(s, Fun):
-            for i in range(len(s.args), 0, -1):
-                stack.append((p + (i,), s.args[i - 1]))
-    return tuple(out)
-
-
-def subterm_at(t: Term, p: Position) -> Term:
-    for i in p:
-        if not isinstance(t, Fun) or not 1 <= i <= len(t.args):
-            raise InvalidPositionError(f"position {list(p)} not in term")
-        t = t.args[i - 1]
-    return t
-
-
-def replace(t: Term, p: Position, s: Term) -> Term:
-    """The term t with the subterm at position p replaced by s."""
-    if not p:
-        return s
-    if not isinstance(t, Fun) or not 1 <= p[0] <= len(t.args):
-        raise InvalidPositionError(f"position {list(p)} not in term")
-    i = p[0] - 1
-    new_arg = replace(t.args[i], p[1:], s)
-    return Fun(t.symbol, t.args[:i] + (new_arg,) + t.args[i + 1 :])
-
-
-def right_of(p: Position, q: Position) -> bool:
-    """True iff p = p1 i p2 and q = p1 j q2 with i > j.
-
-    A strict partial order; two distinct parallel positions are always
-    comparable one way round, while a prefix is never to either side.
-    """
-    k = 0
-    n = min(len(p), len(q))
-    while k < n and p[k] == q[k]:
-        k += 1
-    return k < len(p) and k < len(q) and p[k] > q[k]
-
-
-def parallel(p: Position, q: Position) -> bool:
-    """True iff neither position is a prefix of the other."""
-    return right_of(p, q) or right_of(q, p)
 
 
 def variables(t: Term) -> tuple[str, ...]:
@@ -239,19 +185,6 @@ def rename(t: Term, mapping: Mapping[str, str]) -> Term:
         new = mapping.get(t.name)
         return Var(new) if new is not None else t
     return Fun(t.symbol, tuple(rename(a, mapping) for a in t.args))
-
-
-def canonical(t: Term) -> Term:
-    """t with variables renamed to x, y, z, ... in order of first occurrence.
-
-    Two terms are equal modulo variable renaming iff their canonical forms
-    are equal.
-    """
-    names = variables(t)
-    mapping = {n: canonical_var_name(i) for i, n in enumerate(names)}
-    if all(k == v for k, v in mapping.items()):
-        return t
-    return rename(t, mapping)
 
 
 def term_sort_key(t: Term):
@@ -377,23 +310,6 @@ def _rule_index(rules: tuple[Rule, ...]) -> dict:
                 node[f] = (tuple(found), {})
             node = node[f][1]
     return root
-
-
-def canonical_rules(trs: Trs | Iterable[Rule]) -> frozenset[Rule]:
-    """The rule set modulo variable renaming, for order-insensitive comparison."""
-    rules = trs.rules if isinstance(trs, Trs) else tuple(trs)
-    return frozenset(canonical_rule(r) for r in rules)
-
-
-def is_duplicating(trs: Trs) -> bool:
-    """True iff some rule has more occurrences of a variable on the right
-    than on the left."""
-    for rule in trs.rules:
-        left = variable_counts(rule.lhs)
-        for name, n in variable_counts(rule.rhs).items():
-            if n > left.get(name, 0):
-                return True
-    return False
 
 
 def is_left_linear(trs: Trs) -> bool:

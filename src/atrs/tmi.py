@@ -107,14 +107,6 @@ class MatrixInterp:
         if any(not isinstance(x, int) or x < 0 for x in v):
             raise InterpretationError(f"{sym.name}: vector entries must be naturals")
 
-    def for_symbol(self, sym: Symbol) -> SymbolInterp:
-        try:
-            return self.entries[sym]
-        except KeyError:
-            raise MissingSymbolError(
-                f"no interpretation for {sym.name}/{sym.arity}"
-            ) from None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatrixInterp):
             return NotImplemented
@@ -160,25 +152,6 @@ def _linearize(entries: Mapping[Symbol, SymbolInterp], dim: int, t: Term) -> Lin
     return LinearForm(coeffs, const)
 
 
-def linearize(interp: MatrixInterp, t: Term) -> LinearForm:
-    """The interpretation of t as a linear form in its variables."""
-    return _linearize(interp.entries, interp.dim, t)
-
-
-def evaluate(interp: MatrixInterp, t: Term, assignment: Mapping[str, Vector]) -> Vector:
-    """The value of t under a concrete variable assignment."""
-    if isinstance(t, Var):
-        try:
-            return assignment[t.name]
-        except KeyError:
-            raise InterpretationError(f"no value assigned to variable {t.name}") from None
-    mats, vec = interp.for_symbol(t.symbol)
-    out = vec
-    for m, arg in zip(mats, t.args):
-        out = vec_add(out, mat_vec(m, evaluate(interp, arg, assignment)))
-    return out
-
-
 def _orientation_failure(
     high: Mapping[Symbol, SymbolInterp], low: Mapping[Symbol, SymbolInterp],
     dim: int, rule: Rule,
@@ -200,13 +173,6 @@ def _orientation_failure(
     return None
 
 
-def strictly_oriented(interp: MatrixInterp, rule: Rule) -> bool:
-    """True iff [lhs] > [rhs] holds for every assignment of naturals, decided
-    by componentwise comparison of coefficients and constants."""
-    entries = interp.entries
-    return _orientation_failure(entries, entries, interp.dim, rule) is None
-
-
 def _monotonicity_violation(interp: MatrixInterp) -> tuple[Symbol, int] | None:
     for sym in sorted(interp.entries):
         mats, _ = interp.entries[sym]
@@ -224,16 +190,6 @@ def _triangularity_violation(interp: MatrixInterp) -> tuple[Symbol, int] | None:
                 if m[r][r] > 1 or any(m[r][c] != 0 for c in range(r)):
                     return sym, i
     return None
-
-
-def is_monotone(interp: MatrixInterp) -> bool:
-    """Every coefficient matrix has top-left entry at least 1."""
-    return _monotonicity_violation(interp) is None
-
-
-def is_triangular(interp: MatrixInterp) -> bool:
-    """Every coefficient matrix is upper triangular with diagonal <= 1."""
-    return _triangularity_violation(interp) is None
 
 
 @dataclass(frozen=True)

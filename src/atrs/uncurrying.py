@@ -45,10 +45,6 @@ class SymbolClashError(TransformError):
     """A fresh family symbol name like f#1 is already taken."""
 
 
-class UnknownSymbolError(TransformError):
-    """A term mentions a symbol outside the source signature and its family."""
-
-
 @dataclass
 class AtrsContext:
     """Everything fixed by detecting an ATRS: the application symbol, the
@@ -56,8 +52,7 @@ class AtrsContext:
 
     The family member f_i is f itself for i = 0 and a fresh symbol named
     ``f#i`` of arity i for 1 <= i <= aa(f).  up maps each f_i with
-    i < aa(f) to f_{i+1}, in constant order and then by i; base maps every
-    member of f's family to the constant f.
+    i < aa(f) to f_{i+1}, in constant order and then by i.
     """
 
     app: Symbol
@@ -65,15 +60,12 @@ class AtrsContext:
     aa: dict[str, int]
     constant_order: tuple[str, ...]
     up: dict[Symbol, Symbol] = field(init=False, repr=False, compare=False)
-    base: dict[Symbol, Symbol] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.up = {}
-        self.base = {}
         for name in self.constant_order:
             members = [self.family(name, i) for i in range(self.aa[name] + 1)]
             self.up.update(zip(members, members[1:]))
-            self.base.update(dict.fromkeys(members, members[0]))
 
     @staticmethod
     def family(base: str, i: int) -> Symbol:
@@ -165,60 +157,6 @@ def is_left_head_variable_free(ctx: AtrsContext, trs: Trs) -> bool:
         for r in trs.rules
         for s in subterms(r.lhs)
     )
-
-
-def currying_system(symbols: set[Symbol] | frozenset[Symbol], app: Symbol = APP) -> Trs:
-    """Rules flattening every n-ary symbol into applications of a constant.
-
-    For f of arity n the rules are f_{i+1}(x1..xi, y) -> f_i(x1..xi) @ y for
-    n > i >= 0, where f_n is f itself and lower members are f#i (f#0 is the
-    constant f).
-    """
-    rules = []
-    for f in sorted(symbols):
-        if f == app or f.arity == 0:
-            continue
-        for i in range(f.arity - 1, -1, -1):
-            upper = f if i + 1 == f.arity else AtrsContext.family(f.name, i + 1)
-            lower = AtrsContext.family(f.name, i)
-            xs = tuple(Var(f"x{j + 1}") for j in range(i))
-            y = Var("y")
-            rules.append(
-                Rule(Fun(upper, xs + (y,)), Fun(app, (Fun(lower, xs), y)))
-            )
-    return Trs(rules, extra_signature=symbols | {app})
-
-
-def curry_nf(
-    symbols: set[Symbol] | frozenset[Symbol], t: Term, app: Symbol = APP
-) -> Term:
-    """The unique normal form of t under the currying system of symbols.
-
-    Every application of an n-ary symbol from symbols, or of one of its
-    family members, is flattened into a spine headed by the corresponding
-    constant.
-    """
-    flat: dict[Symbol, str] = {}
-    for f in symbols:
-        if f == app or f.arity == 0:
-            continue
-        flat[f] = f.name
-        for i in range(1, f.arity):
-            flat[AtrsContext.family(f.name, i)] = f.name
-
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
-            return t
-        args = tuple(go(a) for a in t.args)
-        base = flat.get(t.symbol)
-        if base is None or t.symbol == app:
-            return Fun(t.symbol, args)
-        out: Term = Fun(Symbol(base, 0))
-        for a in args:
-            out = Fun(app, (out, a))
-        return out
-
-    return go(t)
 
 
 def uncurrying_system(ctx: AtrsContext) -> Trs:
@@ -322,22 +260,3 @@ def transform(trs: Trs, app_hint: str | None = None) -> TransformResult:
         extra_signature=uncurried_eta.signature | u_rules.signature,
     )
     return TransformResult(ctx, eta, u_rules, uncurried, uncurried_eta, combined)
-
-
-def curry_back(ctx: AtrsContext, t: Term) -> Term:
-    """Fully curry t and rename family members back to their base constants.
-
-    Defined for terms over the source signature extended by the family;
-    anything else raises UnknownSymbolError.
-    """
-    if isinstance(t, Var):
-        return t
-    if t.symbol == ctx.app:
-        return Fun(ctx.app, (curry_back(ctx, t.args[0]), curry_back(ctx, t.args[1])))
-    base = ctx.base.get(t.symbol)
-    if base is None:
-        raise UnknownSymbolError(f"symbol {t.symbol} outside signature and family")
-    out: Term = Fun(base)
-    for a in t.args:
-        out = Fun(ctx.app, (out, curry_back(ctx, a)))
-    return out

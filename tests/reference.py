@@ -18,28 +18,86 @@ breadth-first search, relative successors from full modulo closures, and
 dc rows from every term with at most two variables.  Each of these spends
 a Budget, the size of each term it visits, so a search that would not end,
 or would build ever larger terms, stops with BudgetExceeded instead.
+
+Positions, subterm access and replacement, canonical renaming, the
+currying system C with its normal forms, the inverse of uncurrying, and
+the value of a term under a matrix interpretation are the paper's
+definitions that only these references and the tests use.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from atrs.rewriting import RewriteStep, StrategyKind
 from atrs.terms import (
+    APP,
     Fun,
+    Position,
+    Rule,
     Symbol,
     Term,
     Trs,
     Var,
     canonical_var_name,
     match,
-    positions,
-    replace,
+    rename,
     substitute,
-    subterm_at,
     subterms,
+    variables,
 )
+from atrs.tmi import InterpretationError, MatrixInterp, Vector, mat_vec, vec_add
+from atrs.uncurrying import AtrsContext
+
+
+class InvalidPositionError(ValueError):
+    """Raised when a position does not exist in a term."""
+
+
+def positions(t: Term) -> tuple[Position, ...]:
+    """All positions of t in preorder; len(positions(t)) == t.size."""
+    out: list[Position] = []
+    stack: list[tuple[Position, Term]] = [((), t)]
+    while stack:
+        p, s = stack.pop()
+        out.append(p)
+        if isinstance(s, Fun):
+            for i in range(len(s.args), 0, -1):
+                stack.append((p + (i,), s.args[i - 1]))
+    return tuple(out)
+
+
+def canonical(t: Term) -> Term:
+    """t with variables renamed to x, y, z, ... in order of first occurrence.
+
+    Two terms are equal modulo variable renaming iff their canonical forms
+    are equal.
+    """
+    names = variables(t)
+    mapping = {n: canonical_var_name(i) for i, n in enumerate(names)}
+    if all(k == v for k, v in mapping.items()):
+        return t
+    return rename(t, mapping)
+
+
+def subterm_at(t: Term, p: Position) -> Term:
+    for i in p:
+        if not isinstance(t, Fun) or not 1 <= i <= len(t.args):
+            raise InvalidPositionError(f"position {list(p)} not in term")
+        t = t.args[i - 1]
+    return t
+
+
+def replace(t: Term, p: Position, s: Term) -> Term:
+    """The term t with the subterm at position p replaced by s."""
+    if not p:
+        return s
+    if not isinstance(t, Fun) or not 1 <= p[0] <= len(t.args):
+        raise InvalidPositionError(f"position {list(p)} not in term")
+    i = p[0] - 1
+    new_arg = replace(t.args[i], p[1:], s)
+    return Fun(t.symbol, t.args[:i] + (new_arg,) + t.args[i + 1 :])
 
 
 def term_sort_key(t: Term):
@@ -222,3 +280,103 @@ def dc_rows(
                 best, witness = h, t
         rows[n] = (best, witness)
     return rows, None
+
+
+def currying_system(symbols: set[Symbol] | frozenset[Symbol], app: Symbol = APP) -> Trs:
+    """Rules flattening every n-ary symbol into applications of a constant.
+
+    For f of arity n the rules are f_{i+1}(x1..xi, y) -> f_i(x1..xi) @ y for
+    n > i >= 0, where f_n is f itself and lower members are f#i (f#0 is the
+    constant f).
+    """
+    rules = []
+    for f in sorted(symbols):
+        if f == app or f.arity == 0:
+            continue
+        for i in range(f.arity - 1, -1, -1):
+            upper = f if i + 1 == f.arity else AtrsContext.family(f.name, i + 1)
+            lower = AtrsContext.family(f.name, i)
+            xs = tuple(Var(f"x{j + 1}") for j in range(i))
+            y = Var("y")
+            rules.append(
+                Rule(Fun(upper, xs + (y,)), Fun(app, (Fun(lower, xs), y)))
+            )
+    return Trs(rules, extra_signature=symbols | {app})
+
+
+def curry_nf(
+    symbols: set[Symbol] | frozenset[Symbol], t: Term, app: Symbol = APP
+) -> Term:
+    """The unique normal form of t under the currying system of symbols.
+
+    Every application of an n-ary symbol from symbols, or of one of its
+    family members, is flattened into a spine headed by the corresponding
+    constant.
+    """
+    flat: dict[Symbol, str] = {}
+    for f in symbols:
+        if f == app or f.arity == 0:
+            continue
+        flat[f] = f.name
+        for i in range(1, f.arity):
+            flat[AtrsContext.family(f.name, i)] = f.name
+
+    def go(t: Term) -> Term:
+        if isinstance(t, Var):
+            return t
+        args = tuple(go(a) for a in t.args)
+        base = flat.get(t.symbol)
+        if base is None or t.symbol == app:
+            return Fun(t.symbol, args)
+        out: Term = Fun(Symbol(base, 0))
+        for a in args:
+            out = Fun(app, (out, a))
+        return out
+
+    return go(t)
+
+
+def evaluate(interp: MatrixInterp, t: Term, assignment: Mapping[str, Vector]) -> Vector:
+    """The value of t under a concrete variable assignment."""
+    if isinstance(t, Var):
+        try:
+            return assignment[t.name]
+        except KeyError:
+            raise InterpretationError(f"no value assigned to variable {t.name}") from None
+    mats, vec = interp.entries[t.symbol]
+    out = vec
+    for m, arg in zip(mats, t.args):
+        out = vec_add(out, mat_vec(m, evaluate(interp, arg, assignment)))
+    return out
+
+
+class UnknownSymbolError(ValueError):
+    """A term mentions a symbol outside the source signature and its family."""
+
+
+def curry_back(ctx: AtrsContext, t: Term) -> Term:
+    """Fully curry t and rename family members back to their base constants.
+
+    Defined for terms over the source signature extended by the family;
+    anything else raises UnknownSymbolError.
+    """
+    base = {
+        ctx.family(name, i): Symbol(name, 0)
+        for name in ctx.constant_order
+        for i in range(ctx.aa[name] + 1)
+    }
+
+    def back(t: Term) -> Term:
+        if isinstance(t, Var):
+            return t
+        if t.symbol == ctx.app:
+            return Fun(ctx.app, (back(t.args[0]), back(t.args[1])))
+        constant = base.get(t.symbol)
+        if constant is None:
+            raise UnknownSymbolError(f"symbol {t.symbol} outside signature and family")
+        out: Term = Fun(constant)
+        for a in t.args:
+            out = Fun(ctx.app, (out, back(a)))
+        return out
+
+    return back(t)

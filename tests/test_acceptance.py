@@ -13,19 +13,26 @@ measured runtime.
 import time
 from pathlib import Path
 
-from atrs import systems
+import samples
+from samples import canonical_rules
+
 from atrs.cli import main
 from atrs.complexity import dc_relative_table, dc_table, enumerate_terms
 from atrs.oracles import (
-    verify_innermost_weakening_fails,
     verify_nf_preservation,
     verify_rightmost_simulation,
     verify_subterm_commutation,
     verify_uncurried_step,
 )
 from atrs.parsing import parse_trs
-from atrs.rewriting import Finished, StrategyKind, derivation_height, successors
-from atrs.terms import Fun, Symbol, Var, canonical_rules
+from atrs.rewriting import (
+    Closure,
+    Finished,
+    StrategyKind,
+    derivation_height,
+    successors,
+)
+from atrs.terms import Fun, Symbol, Var
 from atrs.tmi import SearchBudgetExhausted, check_tmi, search_tmi
 from atrs.uncurrying import detect_atrs, transform
 
@@ -45,7 +52,7 @@ def ok(label, started):
 
 def test_01_uncurrying_reproduces_the_reference_rule_sets():
     started = time.monotonic()
-    res = transform(systems.id_apply())
+    res = transform(samples.system("id_apply"))
     assert res.context.aa == {"id": 2, "f": 1}
     assert canonical_rules(res.u_rules) == rules_of(
         "(VAR x y) (RULES id @ x -> id#1(x)  id#1(x) @ y -> id#2(x, y)"
@@ -94,7 +101,7 @@ def test_02_innermost_loop_appears_only_after_uncurrying(capsys, tmp_path):
 
 def test_03_innermost_rewriting_contracts_the_argument_first():
     started = time.monotonic()
-    trs = transform(systems.head_switch()).combined
+    trs = transform(samples.system("head_switch")).combined
     arities = {s.name: s.arity for s in trs.signature}
     g_a = Fun(Symbol("app", 2), (Fun(Symbol("g", 0)), Fun(Symbol("a", 0))))
     g_b = Fun(Symbol("app", 2), (Fun(Symbol("g", 0)), Fun(Symbol("b", 0))))
@@ -128,7 +135,7 @@ def test_04_matrix_certificate_for_uncurried_addition(capsys):
 
 def test_05_uncurried_doubling_is_exponential():
     started = time.monotonic()
-    trs = transform(systems.doubling()).combined
+    trs = transform(samples.system("doubling")).combined
     f1, s1 = Symbol("f#1", 1), Symbol("s#1", 1)
     for n in range(1, 9):
         t = Fun(s1, (Var("x"),))
@@ -139,7 +146,7 @@ def test_05_uncurried_doubling_is_exponential():
         assert outcome.value >= 2 ** n
 
     table = dc_table(trs, 9, INNER, 200_000)
-    assert table.complete
+    assert table.incomplete_at is None
     assert {n: row.value for n, row in table.rows.items()} == {
         n: 2 ** (n - 1) for n in range(1, 10)
     }
@@ -153,8 +160,8 @@ def test_05_uncurried_doubling_is_exponential():
 
 def test_06_curried_doubling_keeps_linear_innermost_complexity():
     started = time.monotonic()
-    table = dc_table(systems.doubling(), 9, INNER, 200_000)
-    assert table.complete
+    table = dc_table(samples.system("doubling"), 9, INNER, 200_000)
+    assert table.incomplete_at is None
     values = [table.rows[n].value for n in range(1, 10)]
     for a, b in zip(values, values[1:]):
         assert 0 <= b - a <= 3
@@ -166,7 +173,7 @@ def test_07_simulation_oracles_hold_at_desk_scale():
     started = time.monotonic()
     counts = []
     for name in ("addition", "head_switch", "doubling"):
-        trs = systems.system(name)
+        trs = samples.system(name)
         reports = [
             verify_uncurried_step(trs, 6, 10_000),
             verify_rightmost_simulation(trs, 6, 10_000),
@@ -191,10 +198,23 @@ def test_07_simulation_oracles_hold_at_desk_scale():
 
 def test_08_weakened_innermost_simulation_fails():
     started = time.monotonic()
-    report = verify_innermost_weakening_fails()
-    assert report.instances_checked == 2
-    assert report.failures == ()
-    assert report.ok
+    trs = samples.system("parallel_redexes")
+    res = transform(trs)
+    app = res.context.app
+    f, g, a, b = (Fun(Symbol(name, 0)) for name in "fgab")
+    f_a, g_a, f1_a = Fun(app, (f, a)), Fun(app, (g, a)), Fun(Symbol("f#1", 1), (a,))
+    u_reach = Closure(res.u_rules, FULL, 1_000_000)
+    i_reach = Closure(res.combined, INNER, 1_000_000)
+    # f a uncurries to f#1(a) and steps innermost to g a, but its one
+    # rightmost-innermost step contracts a instead
+    assert f1_a in u_reach.star(f_a)
+    assert g_a in successors(trs, f_a, INNER)
+    assert successors(trs, f_a, RI) == [Fun(app, (f, b))]
+    # no innermost derivation from f#1(a) meets a reduct of g a, while one
+    # meets a reduct of the rightmost-innermost target f b
+    reached = i_reach.plus(f1_a)
+    assert reached.isdisjoint(u_reach.star(g_a))
+    assert not reached.isdisjoint(u_reach.star(Fun(app, (f, b))))
     ok("innermost simulation fails on the collapse system while both"
        " rightmost-innermost instances go through", started)
 
@@ -202,7 +222,7 @@ def test_08_weakened_innermost_simulation_fails():
 def test_09_heights_never_drop_under_uncurrying():
     started = time.monotonic()
     for name in ("addition", "head_switch"):
-        source = systems.system(name)
+        source = samples.system(name)
         combined = transform(source).combined
         for t in enumerate_terms(source.signature, 6):
             plain = {}
@@ -222,14 +242,14 @@ def test_09_heights_never_drop_under_uncurrying():
 
 def test_10_relative_complexity_bounded_by_doubling_the_size():
     started = time.monotonic()
-    res = transform(systems.addition())
+    res = transform(samples.system("addition"))
     relative = dc_relative_table(res.uncurried_eta, res.u_rules, 6, 200_000)
-    assert relative.complete
+    assert relative.incomplete_at is None
     rel_values = {n: row.value for n, row in relative.rows.items()}
     assert rel_values == {1: 0, 2: 0, 3: 1, 4: 2, 5: 3, 6: 4}
 
-    plain = dc_table(systems.addition(), 12, FULL, 200_000)
-    assert plain.complete
+    plain = dc_table(samples.system("addition"), 12, FULL, 200_000)
+    assert plain.incomplete_at is None
     for n in range(1, 7):
         assert rel_values[n] <= plain.rows[2 * n].value
     ok("uncurried-modulo-collapse complexity of addition at n stays below"
@@ -244,7 +264,7 @@ def test_11_certificate_search_is_sound():
     assert check_tmi(found, easy).ok
     assert time.monotonic() - started < 1.0
 
-    trs = transform(systems.addition()).combined
+    trs = transform(samples.system("addition")).combined
     try:
         interp = search_tmi(trs, 2, 1, 10_000_000)
     except SearchBudgetExhausted:

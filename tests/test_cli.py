@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from atrs import cli, systems
+from atrs import cli
 from atrs.cli import main
 from atrs.complexity import dc_relative_table
 from atrs.oracles import Failure, VerificationReport
@@ -22,30 +22,10 @@ SWITCH = str(TRS / "switch.trs")
 ADD_UNCURRIED = str(TRS / "add_uncurried.trs")
 ADD_TMI = str(TRS / "add.tmi")
 
-SAMPLE_FILES = {
-    "id_apply": "id.trs",
-    "head_loop": "loop.trs",
-    "head_switch": "switch.trs",
-    "parallel_redexes": "parallel.trs",
-    "addition": "add.trs",
-    "doubling": "double.trs",
-}
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_data_files_match_the_bundled_sources():
-    for name, filename in SAMPLE_FILES.items():
-        on_disk = (TRS / filename).read_text(encoding="utf-8")
-        assert on_disk == systems.SOURCES[name].lstrip()
-        assert parse_trs(on_disk).trs.rules == systems.system(name).rules
-    assert (TRS / "add.tmi").read_text(encoding="utf-8") == (
-        systems.ADDITION_TMI_SOURCE.lstrip()
-    )
 
 
 def test_uncurry_emits_the_combined_system(capsys):

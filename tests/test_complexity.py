@@ -3,11 +3,12 @@ from pathlib import Path
 
 import pytest
 import reference
+import samples
 import strategies
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import canonical
 
-from atrs import systems
 from atrs.complexity import (
     ComplexityTable,
     DcRow,
@@ -25,7 +26,7 @@ from atrs.rewriting import (
     StrategyKind,
     derivation_height,
 )
-from atrs.terms import Fun, Symbol, Term, Var, canonical, is_left_linear
+from atrs.terms import Fun, Symbol, Var, is_left_linear
 from atrs.uncurrying import TransformError, transform
 
 FULL = StrategyKind.FULL
@@ -128,9 +129,9 @@ def test_enumeration_has_no_renaming_duplicates():
 
 
 def test_dc_table_for_curried_addition():
-    trs = systems.addition()
+    trs = samples.system("addition")
     table = dc_table(trs, 7, FULL, 100_000)
-    assert table.complete
+    assert table.incomplete_at is None
     assert {n: row.value for n, row in table.rows.items()} == {
         1: 0,
         2: 0,
@@ -148,9 +149,9 @@ def test_dc_table_for_curried_addition():
 
 
 def test_dc_values_never_decrease_with_size():
-    trs = transform(systems.addition()).combined
+    trs = transform(samples.system("addition")).combined
     table = dc_table(trs, 6, INNER, 100_000)
-    assert table.complete
+    assert table.incomplete_at is None
     values = [table.rows[n].value for n in range(1, 7)]
     assert values == sorted(values)
 
@@ -162,9 +163,8 @@ def test_dc_keeps_the_first_witness_on_ties():
 
 
 def test_dc_table_stops_at_a_loop():
-    trs = systems.head_loop()
+    trs = samples.system("head_loop")
     table = dc_table(trs, 4, FULL, 10_000)
-    assert not table.complete
     assert table.incomplete_at == 3
     assert table.loop is not None
     assert sorted(table.rows) == [1, 2]
@@ -175,7 +175,6 @@ def test_dc_table_stops_at_a_loop():
 def test_dc_table_stops_when_fuel_runs_out():
     trs = trs_of("(RULES c -> s @ c)")
     table = dc_table(trs, 2, FULL, 10)
-    assert not table.complete
     assert table.incomplete_at == 1
     assert table.loop is None
     assert table.fuel_exhausted_on == Fun(Symbol("c", 0))
@@ -202,7 +201,7 @@ def test_relative_table_with_empty_main_is_all_zeros():
     main = trs_of("(RULES )")
     modulo = trs_of("(RULES f -> g)")
     table = dc_relative_table(main, modulo, 3, 1000)
-    assert table.complete
+    assert table.incomplete_at is None
     assert all(row.value == 0 for row in table.rows.values())
 
 
@@ -229,9 +228,9 @@ def two_variable_table(search, kind, fuel, signature, max_size):
 
 
 def sample_systems():
-    """Every bundled sample system and every trs/ file, each system once
-    (the trs/ files of the samples hold the same rules)."""
-    found = {name: systems.system(name) for name in systems.SOURCES}
+    """Every sample system under its name and every other trs/ file under
+    its file name."""
+    found = {name: samples.system(name) for name in samples.FILES}
     for path in sorted(TRS.glob("*.trs")):
         trs = parse_trs(path.read_text(encoding="utf-8")).trs
         if trs not in found.values():
@@ -302,7 +301,7 @@ def _assert_table_equals_the_reference(table_to, want):
         table = table_to(_MAX_SIZE)
     assert {n: (row.value, row.witness) for n, row in table.rows.items()} == rows
     if stop is None or stop[1] == "budget":
-        assert table.complete
+        assert table.incomplete_at is None
     else:
         assert table.incomplete_at == stop[0]
         assert table.loop is not None

@@ -1,12 +1,11 @@
+import samples
 import strategies
 from hypothesis import assume, given, settings
 
-from atrs import systems
 from atrs.oracles import (
     Exhausted,
     Failure,
     VerificationReport,
-    verify_innermost_weakening_fails,
     verify_nf_preservation,
     verify_rightmost_simulation,
     verify_subterm_commutation,
@@ -26,47 +25,39 @@ def assert_holds(report, instances):
 
 
 def test_uncurried_step_simulation_on_addition():
-    assert_holds(verify_uncurried_step(systems.addition(), 7, FUEL), 72)
+    assert_holds(verify_uncurried_step(samples.system("addition"), 7, FUEL), 72)
 
 
 def test_uncurried_step_simulation_on_head_switch():
-    assert_holds(verify_uncurried_step(systems.head_switch(), 7, FUEL), 12287)
+    assert_holds(verify_uncurried_step(samples.system("head_switch"), 7, FUEL), 12287)
 
 
 def test_uncurried_step_simulation_on_doubling():
-    assert_holds(verify_uncurried_step(systems.doubling(), 7, FUEL), 820)
+    assert_holds(verify_uncurried_step(samples.system("doubling"), 7, FUEL), 820)
 
 
 def test_rightmost_steps_lift_over_partial_uncurrying():
     assert_holds(
-        verify_rightmost_simulation(systems.addition(), 5, FUEL), 12
+        verify_rightmost_simulation(samples.system("addition"), 5, FUEL), 12
     )
     assert_holds(
-        verify_rightmost_simulation(systems.head_switch(), 5, FUEL), 512
+        verify_rightmost_simulation(samples.system("head_switch"), 5, FUEL), 512
     )
     assert_holds(
-        verify_rightmost_simulation(systems.parallel_redexes(), 5, FUEL), 376
+        verify_rightmost_simulation(samples.system("parallel_redexes"), 5, FUEL), 376
     )
 
 
 def test_uncurrying_preserves_normal_forms():
-    assert_holds(verify_nf_preservation(systems.addition(), 7), 4132)
-    assert_holds(verify_nf_preservation(systems.doubling(), 7), 431)
+    assert_holds(verify_nf_preservation(samples.system("addition"), 7), 4132)
+    assert_holds(verify_nf_preservation(samples.system("doubling"), 7), 431)
 
 
 def test_subterms_of_uncurrying_reducts_trace_back():
-    ctx = detect_atrs(systems.addition())
+    ctx = detect_atrs(samples.system("addition"))
     assert_holds(verify_subterm_commutation(ctx, 7), 19103)
-    ctx2 = detect_atrs(systems.doubling())
+    ctx2 = detect_atrs(samples.system("doubling"))
     assert_holds(verify_subterm_commutation(ctx2, 7), 7632)
-
-
-def test_weakened_innermost_simulation_counterexample():
-    # full innermost simulation fails on the two-rule collapse system, while
-    # the rightmost-innermost instances go through
-    report = verify_innermost_weakening_fails()
-    assert report.property_name == "innermost-weakening-fails"
-    assert_holds(report, 2)
 
 
 def test_empty_system_reports_are_vacuous():

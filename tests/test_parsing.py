@@ -1,9 +1,9 @@
 import pytest
+import samples
 import strategies
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atrs import systems
 from atrs.parsing import (
     ParseError,
     format_rule,
@@ -153,11 +153,11 @@ def test_format_trs_declares_variables():
 
 
 def test_print_parse_round_trip_on_samples():
-    for name in sorted(systems.SOURCES):
-        problem = systems.problem(name)
-        again = parse_trs(format_trs(problem.trs))
-        assert again.trs.rules == problem.trs.rules
-        combined = transform(problem.trs).combined
+    for name in sorted(samples.FILES):
+        trs = samples.system(name)
+        again = parse_trs(format_trs(trs))
+        assert again.trs.rules == trs.rules
+        combined = transform(trs).combined
         back = parse_trs(format_trs(combined))
         assert back.trs.rules == combined.rules
 
@@ -185,7 +185,7 @@ def test_parse_term_respects_declared_variables():
 
 
 def test_tmi_round_trip():
-    interp = systems.addition_tmi()
+    interp = samples.addition_tmi()
     again = parse_tmi(format_tmi(interp))
     assert again == interp
     assert "add#2/2" in format_tmi(interp)
@@ -215,10 +215,10 @@ def test_parse_tmi_inverts_format_tmi(interp):
 def test_tmi_parse_shapes():
     interp = parse_tmi("f/1 : [ [1 1; 0 1] ] + [0; 2]\na/0 : [] + [1; 0]\n")
     assert interp.dim == 2
-    mats, vec = interp.for_symbol(Symbol("f", 1))
+    mats, vec = interp.entries[Symbol("f", 1)]
     assert mats == (((1, 1), (0, 1)),)
     assert vec == (0, 2)
-    assert interp.for_symbol(Symbol("a", 0)) == ((), (1, 0))
+    assert interp.entries[Symbol("a", 0)] == ((), (1, 0))
 
 
 def test_tmi_dimension_mismatches_are_rejected():
@@ -246,8 +246,9 @@ def test_tmi_block_consistency_errors():
 
 
 def test_tmi_signature_coverage():
-    trs = transform(systems.addition()).combined
-    interp = parse_tmi(systems.ADDITION_TMI_SOURCE, signature=trs.signature)
+    trs = transform(samples.system("addition")).combined
+    text = (samples.TRS / "add.tmi").read_text(encoding="utf-8")
+    interp = parse_tmi(text, signature=trs.signature)
     assert interp.dim == 2
     with pytest.raises(MissingSymbolError):
         parse_tmi("a/0 : [] + [0]\n", signature=trs.signature)

@@ -3,11 +3,13 @@ from collections import deque
 
 import pytest
 import reference
+import samples
 import strategies
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atrs import systems
+from atrs import complexity
+from atrs.cli import main
 from atrs.complexity import dc_table, detect_innermost_nontermination, enumerate_terms
 from atrs.parsing import parse_term, parse_trs
 from atrs.rewriting import (
@@ -21,11 +23,9 @@ from atrs.rewriting import (
     HeightSearch,
     LoopDetected,
     StrategyKind,
-    clear_caches,
     derivation_height,
     is_normal_form_fast,
     normalize,
-    reachable,
     redexes,
     relative_successors,
     RelativeHeightSearch,
@@ -70,13 +70,13 @@ def test_root_step_reports_rule_and_matcher():
 
 
 def test_redexes_are_position_sorted():
-    trs = transform(systems.head_switch()).combined
+    trs = transform(samples.system("head_switch")).combined
     t = term_in(trs, "g @ a")
     assert [st.position for st in redexes(trs, t, FULL)] == [(), (2,)]
 
 
 def test_strategies_pick_different_redexes():
-    trs = transform(systems.head_switch()).combined
+    trs = transform(samples.system("head_switch")).combined
     fa = term_in(trs, "f @ a")
     assert {st.position for st in redexes(trs, fa, FULL)} == {(1,), (2,)}
     assert {st.position for st in redexes(trs, fa, INNER)} == {(1,), (2,)}
@@ -96,9 +96,9 @@ def test_rightmost_means_lexicographically_greatest_position():
     assert [st.position for st in redexes(trs, t, RI)] == [(2,)]
 
 
-@pytest.mark.parametrize("name", sorted(systems.SOURCES))
+@pytest.mark.parametrize("name", sorted(samples.FILES))
 def test_steps_agree_with_the_memo_free_reference(name):
-    source = systems.system(name)
+    source = samples.system(name)
     for trs in (source, transform(source).combined):
         for t in enumerate_terms(trs.signature, 5):
             for kind in (FULL, INNER, RI):
@@ -205,13 +205,13 @@ def test_successors_are_distinct_and_in_step_order():
 
 
 def test_fast_normal_form_check_agrees_with_the_slow_one():
-    trs = transform(systems.addition()).combined
+    trs = transform(samples.system("addition")).combined
     for t in enumerate_terms(trs.signature, 5):
         assert is_normal_form_fast(trs, t) == reference.is_normal_form(trs, t)
 
 
 def test_normalize_reaches_the_sum():
-    trs = systems.addition()
+    trs = samples.system("addition")
     t = term_in(trs, "add @ (s @ 0) @ (s @ 0)")
     want = term_in(trs, "s @ (s @ 0)")
     for kind in (FULL, INNER, RI):
@@ -220,7 +220,7 @@ def test_normalize_reaches_the_sum():
 
 
 def test_normalize_detects_cycles():
-    trs = systems.head_loop()
+    trs = samples.system("head_loop")
     t = term_in(trs, "f @ a")
     out = normalize(trs, t, FULL, 50)
     assert isinstance(out, LoopDetected)
@@ -243,21 +243,22 @@ def test_search_paths_build_no_step_records(monkeypatch):
             raise AssertionError("a step record was built on a search path")
 
     monkeypatch.setattr("atrs.rewriting.RewriteStep", NoRecords)
-    clear_caches()
-    trs = transform(systems.doubling()).combined
+    for table in (_root_steps, *_TABLES.values()):
+        table.cache_clear()
+    trs = transform(samples.system("doubling")).combined
     table = dc_table(trs, 6, RI, 10_000)
-    assert table.complete and table.rows[6].value > 0
+    assert table.incomplete_at is None and table.rows[6].value > 0
     t = table.rows[6].witness
     assert len(Closure(trs, RI, 10_000).star(t)) > 1
     assert successors(trs, t, RI)
-    add = systems.addition()
+    add = samples.system("addition")
     t = term_in(add, "add @ (s @ 0) @ (s @ 0)")
     for kind in (FULL, INNER, RI):
         assert normalize(add, t, kind, 100) == Finished(term_in(add, "s @ (s @ 0)"))
 
 
 def test_derivation_height_values():
-    trs = systems.addition()
+    trs = samples.system("addition")
     t = term_in(trs, "add @ 0 @ (s @ 0)")
     for kind in (FULL, INNER, RI):
         assert derivation_height(trs, t, kind, 1000) == Finished(2)
@@ -270,7 +271,7 @@ def test_derivation_height_takes_the_longest_path():
 
 
 def test_derivation_height_loop_witness_replays():
-    trs = transform(systems.head_loop()).combined
+    trs = transform(samples.system("head_loop")).combined
     t = term_in(trs, "f#1(a)")
     out = derivation_height(trs, t, FULL, 1000)
     assert isinstance(out, LoopDetected)
@@ -283,7 +284,7 @@ def test_derivation_height_fuel():
 
 
 def test_height_search_memo_is_shared_between_calls():
-    trs = systems.addition()
+    trs = samples.system("addition")
     search = strategy_search(trs, INNER)
     t = term_in(trs, "add @ (s @ 0) @ (s @ (s @ 0))")
     first = search.height(t, 10_000)
@@ -296,13 +297,13 @@ def test_height_search_memo_is_shared_between_calls():
 def test_reachable_set_and_fuel():
     trs = trs_of("(RULES a -> b  b -> c)")
     a = term_in(trs, "a")
-    assert reachable(trs, a, 10) == {
+    assert Closure(trs, FULL, 10).star(a) == {
         a,
         term_in(trs, "b"),
         term_in(trs, "c"),
     }
     with pytest.raises(FuelExhaustedError):
-        reachable(trs, a, 1)
+        Closure(trs, FULL, 1).star(a)
 
 
 def bfs_closure(trs, t, kind):
@@ -331,11 +332,11 @@ def outcome_of(closure_method, t):
         return FuelExhaustedError
 
 
-@pytest.mark.parametrize("name", sorted(systems.SOURCES))
+@pytest.mark.parametrize("name", sorted(samples.FILES))
 def test_closure_matches_a_memo_free_search(name):
     # one closure per system, strategy and fuel serves every term, so later
     # terms reuse the memoized sets of earlier ones
-    source = systems.system(name)
+    source = samples.system(name)
     for trs in (source, transform(source).combined):
         terms = enumerate_terms(trs.signature, 5)
         for kind in (FULL, INNER, RI):
@@ -363,11 +364,11 @@ def test_relative_successors_wrap_one_main_step():
     main = trs_of("(RULES a -> b)")
     modulo = trs_of("(RULES f -> g)")
     t = term_in(main, "f @ a")
-    got = relative_successors(main, modulo, t, 100)
+    got = relative_successors(main, Closure(modulo, FULL, 100), t)
     want = {term_in(main, "f @ b"), term_in(main, "g @ b")}
     assert set(got) == want
     assert got == sorted(got, key=term_sort_key)
-    assert relative_successors(trs_of("(RULES )"), modulo, t, 100) == []
+    assert relative_successors(trs_of("(RULES )"), Closure(modulo, FULL, 100), t) == []
 
 
 def test_relative_fuel_bounds_each_modulo_closure():
@@ -375,10 +376,10 @@ def test_relative_fuel_bounds_each_modulo_closure():
     # hold two terms each, so fuel 2 suffices though their union holds four
     main = trs_of("(RULES a -> b)")
     modulo = trs_of("(RULES f -> g)")
-    got = relative_successors(main, modulo, term_in(main, "f @ a"), 2)
+    got = relative_successors(main, Closure(modulo, FULL, 2), term_in(main, "f @ a"))
     assert got == [term_in(main, "f @ b"), term_in(main, "g @ b")]
     with pytest.raises(FuelExhaustedError):
-        relative_successors(main, modulo, term_in(main, "f @ a"), 1)
+        relative_successors(main, Closure(modulo, FULL, 1), term_in(main, "f @ a"))
 
 
 def test_relative_height_counts_main_steps_only():
@@ -431,17 +432,38 @@ def test_relative_height_fuel_exhaustion_from_the_closure():
 
 
 def test_innermost_nontermination_detector():
-    looping = transform(systems.head_loop()).combined
+    looping = transform(samples.system("head_loop")).combined
     outcome = detect_innermost_nontermination(looping, 4, 500)
     assert isinstance(outcome, LoopDetected)
     replay(looping, outcome.witness, INNER)
 
-    terminating = transform(systems.head_switch()).combined
+    terminating = transform(samples.system("head_switch")).combined
     outcome = detect_innermost_nontermination(terminating, 5, 500)
     assert outcome == Finished(len(list(enumerate_terms(terminating.signature, 5))))
 
     growing = trs_of("(VAR x) (RULES f @ x -> f @ (s @ x))")
     assert detect_innermost_nontermination(growing, 3, 50) == FuelExhausted()
+
+
+def test_innermost_loop_search_stops_enumerating_at_the_first_loop(
+    monkeypatch, capsys, tmp_path
+):
+    # f @ a loops at size 3; no larger start term may be built
+    asked = []
+    stream = complexity._Enumeration.stream
+
+    def recording(self, size, used=0):
+        asked.append(size)
+        return stream(self, size, used)
+
+    monkeypatch.setattr(complexity._Enumeration, "stream", recording)
+    path = tmp_path / "loop_at_3.trs"
+    path.write_text("(VAR x) (RULES f @ a -> f @ a  g @ x -> x)\n")
+    code = main(["verify", str(path), "--property", "innermost-loop",
+                 "--max-size", "11", "--json"])
+    assert code == 1
+    assert '"status": "loop"' in capsys.readouterr().out
+    assert asked and max(asked) <= 3
 
 
 def test_a_normal_start_term_with_normal_arguments_fills_no_step_table():
@@ -467,7 +489,7 @@ def test_a_normal_start_term_with_normal_arguments_fills_no_step_table():
 
 def test_innermost_and_rightmost_heights_agree_pointwise():
     # innermost derivation height is strategy-order independent
-    trs = transform(systems.addition()).combined
+    trs = transform(samples.system("addition")).combined
     for t in enumerate_terms(trs.signature, 6):
         hi = derivation_height(trs, t, INNER, 50_000)
         hr = derivation_height(trs, t, RI, 50_000)
@@ -475,11 +497,3 @@ def test_innermost_and_rightmost_heights_agree_pointwise():
         assert isinstance(hi, Finished)
         hf = derivation_height(trs, t, FULL, 50_000)
         assert hf.value >= hi.value
-
-
-def test_clear_caches_keeps_results_stable():
-    trs = systems.addition()
-    t = term_in(trs, "add @ 0 @ (s @ 0)")
-    before = derivation_height(trs, t, FULL, 1000)
-    clear_caches()
-    assert derivation_height(trs, t, FULL, 1000) == before

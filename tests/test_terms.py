@@ -7,30 +7,29 @@ import reference
 import strategies
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import is_normal_form
+from reference import (
+    InvalidPositionError,
+    canonical,
+    is_normal_form,
+    positions,
+    replace,
+    subterm_at,
+)
+from samples import canonical_rules
 
 from atrs import terms
 from atrs.parsing import parse_trs
 from atrs.terms import (
     Fun,
-    InvalidPositionError,
     Rule,
     Symbol,
     Trs,
     Var,
-    canonical,
     canonical_rule,
-    canonical_rules,
-    is_duplicating,
     is_left_linear,
     match,
-    parallel,
-    positions,
     rename,
-    replace,
-    right_of,
     substitute,
-    subterm_at,
     subterms,
     term_sort_key,
     term_symbols,
@@ -98,17 +97,6 @@ def test_subterm_at_and_replace():
         subterm_at(t, (3,))
     with pytest.raises(InvalidPositionError):
         replace(t, (1, 1, 1), X)
-
-
-def test_right_of_is_a_strict_order_on_parallel_positions():
-    assert right_of((2,), (1,))
-    assert not right_of((1,), (2,))
-    assert right_of((1, 2), (1, 1))
-    # prefixes are neither left nor right
-    assert not right_of((1, 1), (1,))
-    assert not right_of((1,), (1, 1))
-    assert parallel((1,), (2,))
-    assert not parallel((1,), (1, 2))
 
 
 def test_variables_in_first_occurrence_order():
@@ -182,13 +170,6 @@ def test_trs_allows_one_name_at_several_arities():
     trs = Trs([Rule(Fun(G, (Fun(f0),)), Fun(f0))], extra_signature=[F])
     assert {s.name for s in trs.signature} == {"g", "f"}
     assert len([s for s in trs.signature if s.name == "f"]) == 2
-
-
-def test_is_duplicating():
-    dup = Trs([Rule(Fun(G, (X,)), Fun(F, (X, X)))])
-    lin = Trs([Rule(Fun(F, (X, Y)), Fun(G, (X,)))])
-    assert is_duplicating(dup)
-    assert not is_duplicating(lin)
 
 
 def test_is_left_linear():

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+import samples
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference import evaluate
 
-from atrs import systems
 from atrs.complexity import enumerate_terms
 from atrs.parsing import format_tmi
 from atrs.terms import Fun, Rule, Symbol, Trs, Var, variables
@@ -14,18 +15,16 @@ from atrs.tmi import (
     MatrixInterp,
     MissingSymbolError,
     SearchBudgetExhausted,
+    _linearize,
     check_tmi,
-    evaluate,
     identity,
-    is_monotone,
-    is_triangular,
-    linearize,
     mat_vec,
     search_tmi,
-    strictly_oriented,
     vec_add,
+    vec_strict_gt,
 )
 from atrs.uncurrying import transform
+from tmi_reference import _candidate_matrices, _candidate_vectors
 from tmi_reference import search_tmi as reference_search_tmi
 
 X = Var("x")
@@ -34,11 +33,11 @@ M11 = ((1, 1), (0, 1))
 
 
 def interp():
-    return systems.addition_tmi()
+    return samples.addition_tmi()
 
 
 def combined_addition():
-    return transform(systems.addition()).combined
+    return transform(samples.system("addition")).combined
 
 
 def sym(name, arity):
@@ -47,10 +46,10 @@ def sym(name, arity):
 
 def test_linearize_constants_and_variables():
     ip = interp()
-    zero = linearize(ip, Fun(sym("0", 0)))
+    zero = _linearize(ip.entries, ip.dim, Fun(sym("0", 0)))
     assert zero.coeffs == {}
     assert zero.const == (0, 1)
-    var = linearize(ip, X)
+    var = _linearize(ip.entries, ip.dim, X)
     assert var.coeffs == {"x": identity(2)}
     assert var.const == (0, 0)
 
@@ -58,12 +57,12 @@ def test_linearize_constants_and_variables():
 def test_linearize_composes_through_nesting():
     ip = interp()
     t = Fun(sym("s#1", 1), (X,))
-    lf = linearize(ip, t)
+    lf = _linearize(ip.entries, ip.dim, t)
     assert lf.coeffs == {"x": identity(2)}
     assert lf.const == (0, 1)
 
     nested = Fun(sym("add#2", 2), (X, Fun(sym("s#1", 1), (Y,))))
-    lf2 = linearize(ip, nested)
+    lf2 = _linearize(ip.entries, ip.dim, nested)
     assert lf2.coeffs == {"x": M11, "y": M11}
     assert lf2.const == (1, 1)
 
@@ -72,7 +71,7 @@ def test_linearize_and_evaluate_agree():
     ip = interp()
     rng = random.Random(7)
     for t in enumerate_terms(combined_addition().signature, 5):
-        lf = linearize(ip, t)
+        lf = _linearize(ip.entries, ip.dim, t)
         for _ in range(3):
             alpha = {
                 v: (rng.randrange(6), rng.randrange(6)) for v in variables(t)
@@ -85,8 +84,8 @@ def test_linearize_and_evaluate_agree():
 
 def test_all_addition_rules_strictly_oriented():
     ip = interp()
-    trs = combined_addition()
-    assert all(strictly_oriented(ip, rule) for rule in trs.rules)
+    for rule in combined_addition().rules:
+        assert check_tmi(ip, Trs([rule])).failure is None
 
 
 def test_orientation_is_sound_for_concrete_assignments():
@@ -112,18 +111,18 @@ def test_check_tmi_certifies_addition():
 
 
 def test_monotone_and_triangular_predicates():
-    assert is_monotone(interp())
-    assert is_triangular(interp())
+    assert check_tmi(interp(), Trs([])).failure is None
 
-    def unary(m):
-        return MatrixInterp(2, {sym("f", 1): ((m,), (0, 0))})
+    def failure(m):
+        unary = MatrixInterp(2, {sym("f", 1): ((m,), (0, 0))})
+        return check_tmi(unary, Trs([])).failure
 
-    assert not is_monotone(unary(((0, 1), (0, 1))))
-    assert is_monotone(unary(((1, 0), (1, 1))))
-    assert not is_triangular(unary(((1, 0), (1, 1))))
-    assert not is_triangular(unary(((2, 0), (0, 1))))
-    assert not is_triangular(unary(((1, 0), (0, 2))))
-    assert is_triangular(unary(((1, 3), (0, 1))))
+    assert failure(((0, 1), (0, 1))) == (
+        "not monotone: argument 1 of f/1 has top-left entry 0"
+    )
+    for m in (((1, 0), (1, 1)), ((2, 0), (0, 1)), ((1, 0), (0, 2))):
+        assert failure(m) == "not triangular: argument 1 of f/1"
+    assert failure(((1, 3), (0, 1))) is None
 
 
 def test_check_tmi_reports_monotonicity_and_triangularity_failures():
@@ -184,7 +183,6 @@ def test_check_tmi_names_the_first_undominated_coefficient_in_name_order():
     assert verdict.failure == (
         "rule 1 not strictly oriented: coefficient of x is not dominated"
     )
-    assert not strictly_oriented(ip, trs.rules[0])
 
 
 def test_check_tmi_requires_full_coverage():
@@ -215,9 +213,6 @@ def test_interp_validation():
         MatrixInterp(2, {f: ((((1, 0), (0, -1)),), (0, 0))})
     with pytest.raises(InterpretationError):
         MatrixInterp(2, {f: ((identity(2),), (0, 0, 0))})
-    ip = MatrixInterp(2, {f: ((identity(2),), (0, 0))})
-    with pytest.raises(MissingSymbolError):
-        ip.for_symbol(sym("g", 1))
 
 
 def test_evaluate_requires_values_for_all_variables():
@@ -266,7 +261,7 @@ def test_search_validates_parameters():
 
 
 def test_search_exhausts_dimension_one_for_curried_addition():
-    assert search_tmi(systems.addition(), 1, 2, 500_000) is None
+    assert search_tmi(samples.system("addition"), 1, 2, 500_000) is None
 
 
 # the first dimension-2 certificates for uncurried addition in candidate
@@ -304,7 +299,7 @@ def test_search_returns_the_first_certificate_in_candidate_order(
 
 
 def test_search_refutes_uncurried_doubling_at_dimension_two():
-    trs = transform(systems.doubling()).combined
+    trs = transform(samples.system("doubling")).combined
     assert search_tmi(trs, 2, 1, 100_000) is None
 
 
@@ -326,9 +321,9 @@ def _terms(names):
 
 
 @st.composite
-def _small_systems(draw):
+def _small_systems(draw, max_rules=3):
     rules = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, max_rules))):
         lhs = draw(_terms(("x", "y")).filter(lambda t: isinstance(t, Fun)))
         rules.append(Rule(lhs, draw(_terms(variables(lhs)))))
     return Trs(rules)
@@ -348,3 +343,30 @@ def test_search_agrees_with_generate_and_test(trs, dim, coeff_bound):
     except SearchBudgetExhausted:
         assume(False)
     assert search_tmi(trs, dim, coeff_bound, 10_000_000) == want
+
+
+@st.composite
+def _candidate_interpretations(draw, trs):
+    """An interpretation of trs's signature from the reference search's
+    candidate space: monotone, triangular, entries bounded."""
+    dim, bound = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    mats = st.sampled_from(_candidate_matrices(dim, bound))
+    vecs = st.sampled_from(_candidate_vectors(dim, bound))
+    return MatrixInterp(dim, {
+        f: (tuple(draw(mats) for _ in range(f.arity)), draw(vecs))
+        for f in sorted(trs.signature)
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_certified_rules_decrease_under_random_assignments(data):
+    trs = data.draw(_small_systems(max_rules=2))
+    ip = data.draw(_candidate_interpretations(trs))
+    if not check_tmi(ip, trs).ok:
+        return
+    naturals = st.tuples(*[st.integers(0, 20)] * ip.dim)
+    for rule in trs.rules:
+        alpha = {v: data.draw(naturals) for v in variables(rule.lhs)}
+        assert vec_strict_gt(evaluate(ip, rule.lhs, alpha),
+                             evaluate(ip, rule.rhs, alpha))
