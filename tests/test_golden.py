@@ -1,0 +1,20 @@
+"""Every command of the golden CLI corpus prints what tests/golden/expected.txt
+pins; tests/golden/regen.py describes the corpus and rewrites it."""
+
+import difflib
+
+from golden import regen
+
+
+def test_every_golden_command_prints_its_pinned_output():
+    lines = regen.commands()
+    expected = regen.entries(regen.EXPECTED.read_text(encoding="utf-8"))
+    assert [e.split("\n", 1)[0] for e in expected] == [f"$ atrs {l}" for l in lines]
+    wrong = []
+    for line, want in zip(lines, expected):
+        got = regen.run(line)
+        if got != want:
+            wrong.append("".join(difflib.unified_diff(
+                want.splitlines(True), got.splitlines(True), "expected", "got")))
+    assert not wrong, f"{len(wrong)} of {len(lines)} entries differ:\n" + "\n".join(
+        wrong[:5])
