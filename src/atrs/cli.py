@@ -30,6 +30,7 @@ from .oracles import (
 )
 from .parsing import (
     InputProblem,
+    ParseError,
     format_rule,
     format_term,
     format_tmi,
@@ -48,7 +49,7 @@ from .rewriting import (
     derivation_height,
     successors,
 )
-from .terms import Position, Term
+from .terms import Term
 from .tmi import SearchBudgetExhausted, check_tmi, search_tmi
 from .uncurrying import transform
 
@@ -63,6 +64,10 @@ _EMIT_ORDER = ("input", "eta", "u", "uncurried", "eta-uncurried", "combined")
 #: Exit code of each report status; main adds 3 and 4 for errors.
 _EXIT_CODES = {"ok": 0, "refuted": 1, "loop": 1, "fuel-exhausted": 2,
                "budget-exhausted": 2, "undecided": 2, "vacuous": 2}
+
+#: The last line of a verify report, by its status.
+_VERDICTS = {"refuted": "refuted", "vacuous": "vacuous: no instances checked",
+             "undecided": "undecided: some instances ran out of fuel", "ok": "holds"}
 
 _ORACLES = {
     "uncurried-step": verify_uncurried_step,
@@ -81,20 +86,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _pos(p: Position) -> str:
-    return "root" if not p else ".".join(str(i) for i in p)
-
-
-def _witness_lines(witness: LoopWitness) -> list[str]:
-    out = [f"start: {format_term(witness.start)}"]
-    for st in witness.trace:
-        out.append(
-            f"  -> {format_term(st.result)}"
-            f"  (rule {st.rule_index + 1} at {_pos(st.position)})"
-        )
-    return out
-
-
 def _witness_data(witness: LoopWitness) -> dict:
     return {
         "start": format_term(witness.start),
@@ -109,6 +100,15 @@ def _witness_data(witness: LoopWitness) -> dict:
     }
 
 
+def _witness_lines(witness: LoopWitness) -> list[str]:
+    data = _witness_data(witness)
+    return [f"start: {data['start']}"] + [
+        f"  -> {st['result']}  (rule {st['rule']} at"
+        f" {'.'.join(map(str, st['position'])) or 'root'})"
+        for st in data["trace"]
+    ]
+
+
 def _emit(args, status: str, data: dict, lines: list[str]) -> int:
     if args.json:
         report = {"command": args.command, "status": status, "data": data}
@@ -119,9 +119,17 @@ def _emit(args, status: str, data: dict, lines: list[str]) -> int:
     return _EXIT_CODES[status]
 
 
-def _load_problem(path: str) -> InputProblem:
+def _parse_file(path: str, parse, *args):
+    """parse(text of the file at path, *args); a parse error names path."""
     with open(path, encoding="utf-8") as handle:
-        problem = parse_trs(handle.read(), origin=path)
+        try:
+            return parse(handle.read(), *args)
+        except ParseError as e:
+            raise ValueError(f"{path}: {e}") from None
+
+
+def _load_problem(path: str) -> InputProblem:
+    problem = _parse_file(path, parse_trs, path)
     for warning in problem.warnings:
         print(f"warning: {path}: {warning}", file=sys.stderr)
     return problem
@@ -134,7 +142,7 @@ def _term_argument(problem: InputProblem, text: str) -> Term:
 
 def _cmd_uncurry(args) -> int:
     problem = _load_problem(args.file)
-    result = transform(problem.trs, app_hint=args.app or problem.app_hint)
+    result = transform(problem.trs)
     ctx = result.context
     named = {
         "input": problem.trs,
@@ -147,14 +155,13 @@ def _cmd_uncurry(args) -> int:
     wanted = _EMIT_ORDER if args.emit == "all" else (args.emit,)
     lines: list[str] = []
     if args.show_arities:
-        for name in ctx.constant_order:
-            lines.append(f"aa({name}) = {ctx.aa[name]}")
+        lines.extend(f"aa({name}) = {k}" for name, k in ctx.aa.items())
     for name in wanted:
         if args.emit == "all":
             lines.append(f"== {name} ==")
         lines.extend(format_trs(named[name]).splitlines())
     data = {
-        "arities": {name: ctx.aa[name] for name in ctx.constant_order},
+        "arities": ctx.aa,
         "systems": {
             name: [format_rule(r) for r in named[name].rules] for name in wanted
         },
@@ -250,8 +257,7 @@ def _cmd_dc(args) -> int:
 
 def _cmd_check_tmi(args) -> int:
     problem = _load_problem(args.file)
-    with open(args.tmi, encoding="utf-8") as handle:
-        interp = parse_tmi(handle.read(), problem.trs.signature)
+    interp = _parse_file(args.tmi, parse_tmi, problem.trs.signature)
     verdict = check_tmi(interp, problem.trs)
     if verdict.ok:
         degree = verdict.certificate.degree
@@ -295,16 +301,6 @@ def _cmd_search_tmi(args) -> int:
 
 
 def _report_output(args, report: VerificationReport) -> int:
-    lines = [
-        f"property: {report.property_name}",
-        f"instances checked: {report.instances_checked}",
-    ]
-    for f in report.failures:
-        terms = " | ".join(format_term(t) for t in f.instance)
-        lines.append(f"FAIL: expected {f.expected}; observed {f.observed}")
-        lines.append(f"  instance: {terms}")
-    if report.exhausted:
-        lines.append(f"undecided instances: {len(report.exhausted)}")
     data = {
         "property": report.property_name,
         "instances_checked": report.instances_checked,
@@ -318,17 +314,17 @@ def _report_output(args, report: VerificationReport) -> int:
         ],
         "exhausted": len(report.exhausted),
     }
-    if report.failures:
-        lines.append("refuted")
-        return _emit(args, "refuted", data, lines)
-    if report.vacuous:
-        lines.append("vacuous: no instances checked")
-        return _emit(args, "vacuous", data, lines)
+    lines = [
+        f"property: {report.property_name}",
+        f"instances checked: {report.instances_checked}",
+    ]
+    for f in data["failures"]:
+        lines.append(f"FAIL: expected {f['expected']}; observed {f['observed']}")
+        lines.append(f"  instance: {' | '.join(f['instance'])}")
     if report.exhausted:
-        lines.append("undecided: some instances ran out of fuel")
-        return _emit(args, "undecided", data, lines)
-    lines.append("holds")
-    return _emit(args, "ok", data, lines)
+        lines.append(f"undecided instances: {len(report.exhausted)}")
+    lines.append(_VERDICTS[report.status])
+    return _emit(args, report.status, data, lines)
 
 
 def _cmd_verify(args) -> int:
@@ -350,7 +346,7 @@ def _cmd_verify(args) -> int:
         report = _ORACLES[args.property](trs, args.max_size, args.fuel)
     else:
         # reject what uncurrying rejects, as the other oracles do
-        ctx = transform(trs, app_hint=problem.app_hint).context
+        ctx = transform(trs).context
         report = verify_subterm_commutation(ctx, args.max_size, args.fuel)
     return _report_output(args, report)
 
@@ -369,7 +365,6 @@ def _parser() -> _Parser:
 
     p = command("uncurry", _cmd_uncurry, help="uncurry an applicative system")
     p.add_argument("file")
-    p.add_argument("--app", help="name of the application symbol")
     p.add_argument(
         "--emit",
         choices=_EMIT_ORDER + ("all",),

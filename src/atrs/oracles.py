@@ -16,8 +16,8 @@ from .rewriting import (
     Closure,
     FuelExhaustedError,
     StrategyKind,
+    _ri_steps,
     is_normal_form_fast,
-    redexes,
     successors,
 )
 from .terms import Term, Trs, subterms, term_sort_key
@@ -52,7 +52,8 @@ class VerificationReport:
 
     failures is empty iff the property held on every decided instance;
     exhausted instances are undecided, not refuted.  A report that checked
-    nothing is vacuous and must not be read as success.
+    nothing is vacuous and must not be read as success.  status is the
+    verdict: the first of refuted, vacuous and undecided that applies, or ok.
     """
 
     property_name: str
@@ -65,8 +66,14 @@ class VerificationReport:
         return self.instances_checked == 0
 
     @property
-    def ok(self) -> bool:
-        return not self.failures and not self.vacuous
+    def status(self) -> str:
+        if self.failures:
+            return "refuted"
+        if self.vacuous:
+            return "vacuous"
+        if self.exhausted:
+            return "undecided"
+        return "ok"
 
 
 def verify_uncurried_step(trs: Trs, max_size: int, fuel: int) -> VerificationReport:
@@ -124,12 +131,12 @@ def verify_rightmost_simulation(
     failures: list[Failure] = []
     exhausted: list[Exhausted] = []
     for t in enumerate_terms(trs.signature, max_size):
-        steps = redexes(trs, t, StrategyKind.RIGHTMOST_INNERMOST)
-        if not steps:
+        # every step counts, so results repeat as often as their steps do
+        results = _ri_steps(trs, t)
+        if not results:
             continue
         sources = u_reach.star(t)
-        for st in steps:
-            u = st.result
+        for u in results:
             targets = u_reach.star(u)
             for s in sorted(sources, key=term_sort_key):
                 checked += 1
@@ -147,9 +154,7 @@ def verify_rightmost_simulation(
     return VerificationReport("ri-sim", checked, tuple(failures), tuple(exhausted))
 
 
-def verify_nf_preservation(
-    trs: Trs, max_size: int, fuel: int = _U_FUEL
-) -> VerificationReport:
+def verify_nf_preservation(trs: Trs, max_size: int, fuel: int) -> VerificationReport:
     """Uncurrying steps preserve source normal forms.
 
     Every reduct (under the uncurrying rules) of an enumerated source normal
@@ -184,7 +189,7 @@ def verify_nf_preservation(
 
 
 def verify_subterm_commutation(
-    ctx: AtrsContext, max_size: int, fuel: int = _U_FUEL
+    ctx: AtrsContext, max_size: int, fuel: int
 ) -> VerificationReport:
     """Subterms of uncurrying reducts come from subterms of the source.
 

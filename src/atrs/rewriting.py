@@ -3,8 +3,8 @@
 There is one step table per strategy, memoizing one-step results per
 (system, term) over interned terms.  The rules tried at a subterm are the
 system's candidates for it (Trs.candidates, the rule index), in rule order.
-redexes builds step records, with position, rule and matcher, only for loop
-witnesses and the ri-sim oracle.
+redexes builds step records, with position and rule, only for loop
+witnesses.
 All searches are totalized by fuel: they finish, run out of fuel, or detect
 a loop and report it with a concrete witness.
 
@@ -51,11 +51,10 @@ class StrategyKind(Enum):
 
 @dataclass(eq=True)
 class RewriteStep:
-    """One rewrite step: rule rule_index applied with matcher at position."""
+    """One rewrite step: rule rule_index applied at position."""
 
     position: Position
     rule_index: int
-    matcher: dict[str, Term]
     result: Term
 
 
@@ -157,7 +156,7 @@ def is_normal_form_fast(trs: Trs, t: Term) -> bool:
 
 def redexes(trs: Trs, t: Term, kind: StrategyKind) -> list[RewriteStep]:
     """The steps available from t under the strategy, sorted by position
-    (leftmost-outermost order) and rule index, for loop witnesses and ri-sim.
+    (leftmost-outermost order) and rule index, for loop witnesses.
     The walk enters only subterms whose step table is not empty, and under
     rightmost-innermost only the last such argument."""
     steps = _TABLES[kind]
@@ -169,9 +168,8 @@ def redexes(trs: Trs, t: Term, kind: StrategyKind) -> list[RewriteStep]:
         inner = [i for i, a in enumerate(s.args, 1) if steps(trs, a)]
         if kind is StrategyKind.FULL or not inner:
             for i, rule in trs.candidates(s):
-                sigma = match(rule.lhs, s)
-                if sigma is not None:
-                    found.append((p, i, sigma))
+                if match(rule.lhs, s) is not None:
+                    found.append((p, i))
         if kind is StrategyKind.RIGHTMOST_INNERMOST:
             del inner[:-1]
         for i in reversed(inner):
@@ -334,11 +332,11 @@ class HeightSearch:
         return True
 
     def height(self, t: Term, fuel: int) -> FuelOutcome:
+        if fuel <= 0:
+            raise ValueError("fuel must be positive")
         memo = self.memo
         if t in memo:
             return Finished(memo[t])
-        if fuel <= 0:
-            raise ValueError("fuel must be positive")
         if self._normal_at_once(t):
             memo[t] = 0
             return Finished(0)

@@ -32,10 +32,6 @@ class NotApplicativeError(TransformError):
     """The signature is not constants plus one binary application symbol."""
 
 
-class AmbiguousApplicationError(TransformError):
-    """Several binary symbols could serve as application; a hint is needed."""
-
-
 class NotLeftHeadVariableFreeError(TransformError):
     """Some left-hand side applies a variable, so applicative arities are
     undefined and the transformation does not apply."""
@@ -50,21 +46,22 @@ class AtrsContext:
     """Everything fixed by detecting an ATRS: the application symbol, the
     constants, their applicative arities, and the fresh symbol family.
 
-    The family member f_i is f itself for i = 0 and a fresh symbol named
-    ``f#i`` of arity i for 1 <= i <= aa(f).  up maps each f_i with
-    i < aa(f) to f_{i+1}, in constant order and then by i.
+    aa lists the constants in constant order: by first occurrence in the
+    rules, then the rest by name.  The family member f_i is f itself for
+    i = 0 and a fresh symbol named ``f#i`` of arity i for 1 <= i <= aa(f).
+    up maps each f_i with i < aa(f) to f_{i+1}, in constant order and then
+    by i.
     """
 
     app: Symbol
     constants: frozenset[Symbol]
     aa: dict[str, int]
-    constant_order: tuple[str, ...]
     up: dict[Symbol, Symbol] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.up = {}
-        for name in self.constant_order:
-            members = [self.family(name, i) for i in range(self.aa[name] + 1)]
+        for name, k in self.aa.items():
+            members = [self.family(name, i) for i in range(k + 1)]
             self.up.update(zip(members, members[1:]))
 
     @staticmethod
@@ -89,9 +86,9 @@ def detect_atrs(trs: Trs, app_hint: str | None = None) -> AtrsContext:
     """Recognise trs as an ATRS and compute applicative arities.
 
     The signature must consist of nullary symbols plus at most one binary
-    application symbol; with several binary symbols an app_hint naming one of
-    them is required.  A constants-only system is accepted, with APP as its
-    application symbol.
+    symbol, which is the application symbol.  A constants-only system has
+    APP as its application symbol, or a binary symbol named app_hint; a
+    hint naming no binary symbol of a system that has one is rejected.
     """
     binaries = sorted(s for s in trs.signature if s.arity == 2)
     bad = sorted(s for s in trs.signature if s.arity not in (0, 2))
@@ -99,41 +96,32 @@ def detect_atrs(trs: Trs, app_hint: str | None = None) -> AtrsContext:
         raise NotApplicativeError(
             f"non-nullary, non-application symbols in signature: {bad}"
         )
-    if app_hint is not None:
-        app = next((s for s in binaries if s.name == app_hint), None)
-        if app is None:
-            if binaries:
-                raise NotApplicativeError(
-                    f"hinted application symbol {app_hint!r} not in signature"
-                )
-            app = Symbol(app_hint, 2)
-        extra = [s for s in binaries if s != app]
-        if extra:
-            raise NotApplicativeError(
-                f"binary symbols besides application {app.name}: {extra}"
-            )
-    elif len(binaries) > 1:
-        raise AmbiguousApplicationError(
-            f"several binary symbols could be application: {binaries}"
+    if len(binaries) > 1:
+        raise NotApplicativeError(
+            f"several binary symbols, but an ATRS has one application: {binaries}"
         )
+    if not binaries:
+        app = APP if app_hint is None else Symbol(app_hint, 2)
+    elif app_hint in (None, binaries[0].name):
+        app = binaries[0]
     else:
-        app = binaries[0] if binaries else APP
+        raise NotApplicativeError(
+            f"hinted application symbol {app_hint!r} not in signature"
+        )
 
     constants = frozenset(s for s in trs.signature if s.arity == 0)
-    aa = {c.name: 0 for c in constants}
-    order: dict[str, None] = {}
+    aa: dict[str, int] = {}
     for rule in trs.rules:
         for side in (rule.lhs, rule.rhs):
             for s in subterms(side):
                 head, args = spine(app, s)
                 if isinstance(head, Fun) and head.symbol in constants:
                     name = head.symbol.name
-                    aa[name] = max(aa[name], len(args))
-                    order.setdefault(name, None)
-    for name in sorted(aa):
-        order.setdefault(name, None)
+                    aa[name] = max(aa.get(name, 0), len(args))
+    for name in sorted(c.name for c in constants):
+        aa.setdefault(name, 0)
 
-    ctx = AtrsContext(app, constants, aa, tuple(order))
+    ctx = AtrsContext(app, constants, aa)
     taken = {s.name for s in trs.signature}
     clashes = [s.name for s in ctx.up.values() if s.name in taken]
     if clashes:

@@ -8,9 +8,9 @@ usage errors, and its wording may differ between Python versions.
 Commands run in one process through atrs.cli.main, from the repo root, so
 their paths and outputs are repo-relative.
 
-    PYTHONPATH=src python tests/golden/regen.py
+    python tests/golden/regen.py
 
-rewrites expected.txt from the current code.  tests/test_golden.py
+rewrites expected.txt from the code in src/.  tests/test_golden.py
 compares against it; a changed entry is a behaviour change.
 """
 

@@ -132,7 +132,7 @@ def steps(trs: Trs, t: Term, kind: StrategyKind) -> list[RewriteStep]:
             sigma = match(rule.lhs, s)
             if sigma is not None:
                 result = replace(t, p, substitute(rule.rhs, sigma))
-                out.append(RewriteStep(p, i, sigma, result))
+                out.append(RewriteStep(p, i, result))
     if kind is StrategyKind.RIGHTMOST_INNERMOST and out:
         rightmost = max(st.position for st in out)
         out = [st for st in out if st.position == rightmost]
@@ -362,8 +362,8 @@ def curry_back(ctx: AtrsContext, t: Term) -> Term:
     """
     base = {
         ctx.family(name, i): Symbol(name, 0)
-        for name in ctx.constant_order
-        for i in range(ctx.aa[name] + 1)
+        for name, k in ctx.aa.items()
+        for i in range(k + 1)
     }
 
     def back(t: Term) -> Term:

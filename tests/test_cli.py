@@ -73,12 +73,15 @@ def test_uncurry_json(capsys):
     assert len(report["data"]["systems"]["combined"]) == 5
 
 
-def test_uncurry_app_hint(capsys, tmp_path):
+def test_uncurry_finds_the_application_symbol(capsys, tmp_path):
     f = tmp_path / "o.trs"
     f.write_text("(VAR x) (RULES o(id, x) -> x)\n", encoding="utf-8")
-    code, out, _ = run(capsys, "uncurry", str(f), "--app", "o")
+    code, out, _ = run(capsys, "uncurry", str(f))
     assert code == 0
     assert "id#1(x) -> x" in out
+    code, _, err = run(capsys, "uncurry", str(f), "--app", "o")
+    assert code == 3
+    assert "--app" in err
 
 
 def test_uncurry_rejects_applied_variables_on_the_left(capsys, tmp_path):
@@ -522,6 +525,23 @@ def test_parse_errors_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, "rewrite", str(f), "--term", "a")
     assert code == 3
     assert "line 1, column" in err
+
+
+def test_parse_errors_name_the_file_at_fault(capsys, tmp_path):
+    broken = tmp_path / "broken.trs"
+    broken.write_text("(RULES a -> )\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "dc", ADD, "--max-size", "2", "--relative-to", str(broken)
+    )
+    assert code == 3
+    assert err.endswith(
+        f"error: {broken}: line 1, column 13: expected a term, found ')'\n"
+    )
+    bad = tmp_path / "bad.tmi"
+    bad.write_text("add/2 : [ [1 1; 0 1] ] + [0; 0]\n", encoding="utf-8")
+    code, _, err = run(capsys, "check-tmi", ADD, "--tmi", str(bad))
+    assert code == 3
+    assert err.endswith(f"error: {bad}: line 1, column 1: add/2 has 1 matrices\n")
 
 
 def test_internal_errors_exit_four(capsys):

@@ -21,7 +21,7 @@ def assert_holds(report, instances):
     assert report.failures == ()
     assert report.exhausted == ()
     assert report.instances_checked == instances
-    assert report.ok and not report.vacuous
+    assert report.status == "ok"
 
 
 def test_uncurried_step_simulation_on_addition():
@@ -49,32 +49,33 @@ def test_rightmost_steps_lift_over_partial_uncurrying():
 
 
 def test_uncurrying_preserves_normal_forms():
-    assert_holds(verify_nf_preservation(samples.system("addition"), 7), 4132)
-    assert_holds(verify_nf_preservation(samples.system("doubling"), 7), 431)
+    assert_holds(verify_nf_preservation(samples.system("addition"), 7, FUEL), 4132)
+    assert_holds(verify_nf_preservation(samples.system("doubling"), 7, FUEL), 431)
 
 
 def test_subterms_of_uncurrying_reducts_trace_back():
     ctx = detect_atrs(samples.system("addition"))
-    assert_holds(verify_subterm_commutation(ctx, 7), 19103)
+    assert_holds(verify_subterm_commutation(ctx, 7, FUEL), 19103)
     ctx2 = detect_atrs(samples.system("doubling"))
-    assert_holds(verify_subterm_commutation(ctx2, 7), 7632)
+    assert_holds(verify_subterm_commutation(ctx2, 7, FUEL), 7632)
 
 
 def test_empty_system_reports_are_vacuous():
     report = verify_uncurried_step(Trs([]), 3, FUEL)
     assert report.instances_checked == 0
     assert report.vacuous
-    assert not report.ok
+    assert report.status == "vacuous"
 
 
 def test_report_flags():
     x = Var("x")
     bad = VerificationReport("p", 3, failures=(Failure((x,), "a", "b"),))
-    assert not bad.ok and not bad.vacuous
+    assert bad.status == "refuted" and not bad.vacuous
     undecided = VerificationReport("p", 3, exhausted=(Exhausted((x,), "why"),))
-    assert undecided.ok
+    assert undecided.status == "undecided"
     assert undecided.exhausted
-    assert VerificationReport("p", 0).vacuous
+    assert VerificationReport("p", 0).status == "vacuous"
+    assert VerificationReport("p", 3).status == "ok"
 
 
 @settings(max_examples=60, deadline=None)

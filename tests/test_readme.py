@@ -29,7 +29,7 @@ def test_readme_library_example_shows_its_results(monkeypatch):
                 assert repr(value) == expected
             shown.append(expected)
     assert shown == [
-        "{'add': 2, 's': 1, '0': 0}",
+        "{'add': 2, '0': 0, 's': 1}",
         "Finished(value=2)",
         "{1: 0, 2: 0, 3: 1, 4: 2, 5: 3, 6: 4, 7: 6, 8: 8}",
         "Certificate(kind='upper-bound', degree=2, note='dc(n) in O(n^2)')",

@@ -60,12 +60,11 @@ def replay(trs, witness, kind=FULL):
     assert cur == witness.start
 
 
-def test_root_step_reports_rule_and_matcher():
+def test_root_step_reports_position_rule_and_result():
     trs = trs_of("(VAR x) (RULES f @ x -> x  a -> b)")
     steps = redexes(trs, term_in(trs, "f @ b"), FULL)
     assert [st.position for st in steps] == [()]
     assert steps[0].rule_index == 0
-    assert steps[0].matcher == {"x": term_in(trs, "b")}
     assert steps[0].result == term_in(trs, "b")
 
 
@@ -292,6 +291,16 @@ def test_height_search_memo_is_shared_between_calls():
     assert t in search.memo
     # memo hits do not consume fuel, so fuel=1 still answers instantly
     assert search.height(t, 1) == first
+
+
+def test_height_rejects_fuel_zero_on_memoised_start_terms():
+    trs = samples.system("addition")
+    t = term_in(trs, "add @ (s @ 0) @ (s @ 0)")
+    empty = trs_of("(RULES )")
+    for search in (strategy_search(trs, FULL), RelativeHeightSearch(trs, empty, 100)):
+        assert search.height(t, 100) == Finished(2)
+        with pytest.raises(ValueError, match="fuel must be positive"):
+            search.height(t, 0)
 
 
 def test_reachable_set_and_fuel():

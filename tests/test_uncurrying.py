@@ -16,7 +16,6 @@ from atrs.parsing import parse_trs
 from atrs.rewriting import Finished, StrategyKind, normalize
 from atrs.terms import APP, Fun, Rule, Symbol, Trs, Var
 from atrs.uncurrying import (
-    AmbiguousApplicationError,
     NotApplicativeError,
     NotLeftHeadVariableFreeError,
     SymbolClashError,
@@ -50,7 +49,7 @@ def test_detect_applicative_arities():
     ctx = detect_atrs(samples.system("id_apply"))
     assert ctx.app == APP
     assert ctx.aa == {"id": 2, "f": 1}
-    assert ctx.constant_order == ("id", "f")
+    assert list(ctx.aa) == ["id", "f"]
 
 
 def test_detect_synthesises_app_for_constant_systems():
@@ -69,11 +68,10 @@ def test_detect_ambiguous_binaries():
     o = Symbol("o", 2)
     p = Symbol("p", 2)
     trs = Trs([Rule(Fun(o, (X, Y)), Fun(p, (X, Y)))])
-    with pytest.raises(AmbiguousApplicationError):
-        detect_atrs(trs)
-    # a hint does not help: the other binary still cannot be a constant
-    with pytest.raises(NotApplicativeError):
-        detect_atrs(trs, app_hint="o")
+    # one error names both, with or without a hint
+    for hint in (None, "o", "q"):
+        with pytest.raises(NotApplicativeError, match=r"\[o/2, p/2\]"):
+            detect_atrs(trs, app_hint=hint)
 
 
 def test_detect_hint_names_the_binary_or_synthesises_it():
