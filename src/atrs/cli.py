@@ -340,6 +340,9 @@ def _cmd_verify(args) -> int:
         if isinstance(outcome, FuelExhausted):
             return _emit(args, "undecided", {"loop": None},
                          ["undecided: some start terms ran out of fuel"])
+        if outcome.value == 0:
+            return _emit(args, "vacuous", {"loop": None},
+                         ["vacuous: no start terms searched"])
         return _emit(args, "ok", {"loop": None},
                      [f"no loop found up to size {args.max_size}"])
     if args.property in _ORACLES:

@@ -177,8 +177,6 @@ def detect_innermost_nontermination(
     for n in range(1, max_term_size + 1):
         for t, _ in enumeration.stream(n):
             count += 1
-            if t in search.memo:
-                continue
             outcome = search.height(t, fuel)
             if isinstance(outcome, LoopDetected):
                 return outcome

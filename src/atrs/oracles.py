@@ -38,28 +38,23 @@ class Failure:
     observed: str
 
 
-@dataclass(frozen=True)
-class Exhausted:
-    """One instance the bounded search could not decide."""
-
-    instance: tuple[Term, ...]
-    note: str
-
-
 @dataclass
 class VerificationReport:
     """Outcome of one oracle run.
 
-    failures is empty iff the property held on every decided instance;
-    exhausted instances are undecided, not refuted.  A report that checked
-    nothing is vacuous and must not be read as success.  status is the
-    verdict: the first of refuted, vacuous and undecided that applies, or ok.
+    Every instance the oracle lists counts as checked, decided or not.
+    exhausted holds the undecided entries: instances whose check ran out of
+    fuel, and source terms alone, (s,), whose instances did not fit in the
+    fuel to be listed and so count none.  failures is empty iff the property
+    held on every decided instance.  A report that checked nothing is vacuous
+    and must not be read as success.  status is the verdict: the first of
+    refuted, vacuous and undecided that applies, or ok.
     """
 
     property_name: str
     instances_checked: int
     failures: tuple[Failure, ...] = ()
-    exhausted: tuple[Exhausted, ...] = ()
+    exhausted: tuple[tuple[Term, ...], ...] = ()
 
     @property
     def vacuous(self) -> bool:
@@ -76,42 +71,48 @@ class VerificationReport:
         return "ok"
 
 
+def _report(name: str, expected: str, observed: str, verdicts) -> VerificationReport:
+    """The report of an oracle from its (instance, verdict) pairs in check
+    order; a verdict is True (holds), False (refuted) or None (undecided)."""
+    checked, failures, exhausted = 0, [], []
+    for instance, verdict in verdicts:
+        checked += len(instance) > 1  # a source term alone counts none
+        if verdict is None:
+            exhausted.append(instance)
+        elif not verdict:
+            failures.append(Failure(instance, expected, observed))
+    return VerificationReport(name, checked, tuple(failures), tuple(exhausted))
+
+
+def _within_fuel(search, t: Term) -> set[Term] | None:
+    """search(t), or None when it runs out of fuel."""
+    try:
+        return search(t)
+    except FuelExhaustedError:
+        return None
+
+
 def verify_uncurried_step(trs: Trs, max_size: int, fuel: int) -> VerificationReport:
     """Single full steps translate to nonempty uncurried derivations.
 
     For every enumerated s and every step s -> t of the source system, the
-    uncurried forms must satisfy u(s) ->+ u(t) in the combined system.
+    uncurried forms must satisfy u(s) ->+ u(t) in the combined system.  One
+    search from u(s) serves all t, so its running out leaves each undecided.
     """
     res = transform(trs)
     ctx = res.context
     reach = Closure(res.combined, StrategyKind.FULL, fuel)
-    checked = 0
-    failures: list[Failure] = []
-    exhausted: list[Exhausted] = []
-    for s in enumerate_terms(trs.signature, max_size):
-        targets = successors(trs, s, StrategyKind.FULL)
-        if not targets:
-            continue
-        checked += len(targets)
-        try:
-            reached = reach.plus(uncurry_nf(ctx, s))
-        except FuelExhaustedError:
-            exhausted.extend(
-                Exhausted((s, t), f"reachability fuel {fuel}") for t in targets
-            )
-            continue
-        for t in targets:
-            if uncurry_nf(ctx, t) not in reached:
-                failures.append(
-                    Failure(
-                        (s, t),
-                        "uncurried source reaches uncurried target in >= 1 step",
-                        "target not reachable in the combined system",
-                    )
-                )
-    return VerificationReport(
-        "uncurried-step", checked, tuple(failures), tuple(exhausted)
-    )
+
+    def verdicts():
+        for s in enumerate_terms(trs.signature, max_size):
+            targets = successors(trs, s, StrategyKind.FULL)
+            reached = _within_fuel(reach.plus, uncurry_nf(ctx, s)) if targets else ()
+            for t in targets:
+                yield (s, t), None if reached is None else uncurry_nf(ctx, t) in reached
+
+    return _report(
+        "uncurried-step", "uncurried source reaches uncurried target in >= 1 step",
+        "target not reachable in the combined system", verdicts())
 
 
 def verify_rightmost_simulation(
@@ -127,31 +128,21 @@ def verify_rightmost_simulation(
     res = transform(trs)
     u_reach = Closure(res.u_rules, StrategyKind.FULL, _U_FUEL)
     i_reach = Closure(res.combined, StrategyKind.INNERMOST, fuel)
-    checked = 0
-    failures: list[Failure] = []
-    exhausted: list[Exhausted] = []
-    for t in enumerate_terms(trs.signature, max_size):
-        # every step counts, so results repeat as often as their steps do
-        results = _ri_steps(trs, t)
-        if not results:
-            continue
-        sources = u_reach.star(t)
-        for u in results:
-            targets = u_reach.star(u)
-            for s in sorted(sources, key=term_sort_key):
-                checked += 1
-                try:
-                    if i_reach.plus(s).isdisjoint(targets):
-                        failures.append(
-                            Failure(
-                                (t, s, u),
-                                "innermost derivation from s meets a reduct of u",
-                                "no common term found",
-                            )
-                        )
-                except FuelExhaustedError:
-                    exhausted.append(Exhausted((t, s, u), f"innermost fuel {fuel}"))
-    return VerificationReport("ri-sim", checked, tuple(failures), tuple(exhausted))
+
+    def verdicts():
+        for t in enumerate_terms(trs.signature, max_size):
+            # every step counts, so results repeat as often as their steps do
+            results = _ri_steps(trs, t)
+            sources = sorted(u_reach.star(t), key=term_sort_key) if results else ()
+            for u in results:
+                targets = u_reach.star(u)
+                for s in sources:
+                    reached = _within_fuel(i_reach.plus, s)
+                    met = None if reached is None else not reached.isdisjoint(targets)
+                    yield (t, s, u), met
+
+    return _report("ri-sim", "innermost derivation from s meets a reduct of u",
+                   "no common term found", verdicts())
 
 
 def verify_nf_preservation(trs: Trs, max_size: int, fuel: int) -> VerificationReport:
@@ -162,30 +153,19 @@ def verify_nf_preservation(trs: Trs, max_size: int, fuel: int) -> VerificationRe
     """
     res = transform(trs)
     u_reach = Closure(res.u_rules, StrategyKind.FULL, fuel)
-    checked = 0
-    failures: list[Failure] = []
-    exhausted: list[Exhausted] = []
-    for s in enumerate_terms(trs.signature, max_size):
-        if not is_normal_form_fast(trs, s):
-            continue
-        try:
-            reducts = u_reach.star(s)
-        except FuelExhaustedError:
-            exhausted.append(Exhausted((s,), f"closure fuel {fuel}"))
-            continue
-        for t in sorted(reducts, key=term_sort_key):
-            checked += 1
-            if not is_normal_form_fast(res.uncurried_eta, t):
-                failures.append(
-                    Failure(
-                        (s, t),
-                        "reduct of a source normal form is normal",
-                        "reduct has a step in the uncurried system",
-                    )
-                )
-    return VerificationReport(
-        "nf-preservation", checked, tuple(failures), tuple(exhausted)
-    )
+
+    def verdicts():
+        for s in enumerate_terms(trs.signature, max_size):
+            if is_normal_form_fast(trs, s):
+                reducts = _within_fuel(u_reach.star, s)
+                if reducts is None:
+                    yield (s,), None
+                    continue
+                for t in sorted(reducts, key=term_sort_key):
+                    yield (s, t), is_normal_form_fast(res.uncurried_eta, t)
+
+    return _report("nf-preservation", "reduct of a source normal form is normal",
+                   "reduct has a step in the uncurried system", verdicts())
 
 
 def verify_subterm_commutation(
@@ -195,32 +175,27 @@ def verify_subterm_commutation(
 
     For enumerated s, whenever s ->* t under the uncurrying rules and u is a
     proper subterm of t, some proper subterm v of s satisfies v ->* u.
+
+    Only listing the reducts of s can run out of fuel: w |-> s[w]_p maps the
+    reducts of the subterm v = s|_p injectively into those of s, so once the
+    latter fit, star(v) fits too.
     """
-    u_trs = uncurrying_system(ctx)
-    u_reach = Closure(u_trs, StrategyKind.FULL, fuel)
-    signature = {ctx.app} | ctx.constants
-    checked = 0
-    failures: list[Failure] = []
-    exhausted: list[Exhausted] = []
-    for s in enumerate_terms(signature, max_size):
-        proper_s = _proper_subterms(s)
-        try:
-            for t in sorted(u_reach.star(s), key=term_sort_key):
+    u_reach = Closure(uncurrying_system(ctx), StrategyKind.FULL, fuel)
+
+    def verdicts():
+        for s in enumerate_terms({ctx.app} | ctx.constants, max_size):
+            reducts = _within_fuel(u_reach.star, s)
+            if reducts is None:
+                yield (s,), None
+                continue
+            proper_s = _proper_subterms(s)
+            for t in sorted(reducts, key=term_sort_key):
                 for u in _proper_subterms(t):
-                    checked += 1
-                    if not any(u in u_reach.star(v) for v in proper_s):
-                        failures.append(
-                            Failure(
-                                (s, t, u),
-                                "subterm of a reduct is a reduct of a subterm",
-                                "no source subterm rewrites to it",
-                            )
-                        )
-        except FuelExhaustedError:
-            exhausted.append(Exhausted((s,), f"closure fuel {fuel}"))
-    return VerificationReport(
-        "subterm-commutation", checked, tuple(failures), tuple(exhausted)
-    )
+                    yield (s, t, u), any(u in u_reach.star(v) for v in proper_s)
+
+    return _report(
+        "subterm-commutation", "subterm of a reduct is a reduct of a subterm",
+        "no source subterm rewrites to it", verdicts())
 
 
 def _proper_subterms(t: Term) -> list[Term]:

@@ -370,6 +370,20 @@ def test_verify_vacuous_report(capsys, tmp_path):
     assert "vacuous" in out
 
 
+def test_verify_innermost_loop_with_no_start_terms_is_vacuous(capsys, tmp_path):
+    empty = tmp_path / "empty.trs"
+    empty.write_text("(RULES )\n", encoding="utf-8")
+    for argv in ((ADD, "--max-size", "0"), (str(empty), "--max-vars", "0")):
+        code, out, _ = run(capsys, "verify", *argv, "--property", "innermost-loop")
+        assert code == 2
+        assert out == "vacuous: no start terms searched\n"
+        code, out, _ = run(
+            capsys, "verify", *argv, "--property", "innermost-loop", "--json"
+        )
+        assert code == 2
+        assert json.loads(out)["status"] == "vacuous"
+
+
 def test_verify_innermost_loop_pair(capsys, tmp_path):
     code, out, _ = run(
         capsys, "verify", LOOP, "--property", "innermost-loop", "--max-size", "4"

@@ -1,9 +1,9 @@
 import samples
 import strategies
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from atrs.oracles import (
-    Exhausted,
     Failure,
     VerificationReport,
     verify_nf_preservation,
@@ -71,7 +71,7 @@ def test_report_flags():
     x = Var("x")
     bad = VerificationReport("p", 3, failures=(Failure((x,), "a", "b"),))
     assert bad.status == "refuted" and not bad.vacuous
-    undecided = VerificationReport("p", 3, exhausted=(Exhausted((x,), "why"),))
+    undecided = VerificationReport("p", 3, exhausted=((x,),))
     assert undecided.status == "undecided"
     assert undecided.exhausted
     assert VerificationReport("p", 0).status == "vacuous"
@@ -94,3 +94,17 @@ def test_simulation_oracles_hold_on_random_atrss(trs):
     ):
         report = oracle(trs, 4, 200)
         assert report.failures == (), report.failures
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.applicative_systems(), st.integers(1, 4))
+def test_subterm_commutation_leaves_only_source_terms_undecided(trs, fuel):
+    """Once the reducts of s fit in the fuel, so do those of its subterms, so
+    the only undecided entries are source terms whose reducts did not fit."""
+    try:
+        ctx = transform(trs).context
+    except TransformError:
+        assume(False)
+    report = verify_subterm_commutation(ctx, 5, fuel)
+    assert report.failures == ()
+    assert all(len(entry) == 1 for entry in report.exhausted), report.exhausted
