@@ -237,6 +237,10 @@ def _table_output(args, table: ComplexityTable) -> int:
         )
         data["incomplete_at"] = table.incomplete_at
         return _emit(args, "fuel-exhausted", data, lines)
+    if not table.rows:
+        # only a size bound below 1 leaves a complete table without rows
+        lines.append("vacuous: no sizes tabled")
+        return _emit(args, "vacuous", data, lines)
     return _emit(args, "ok", data, lines)
 
 

@@ -6,8 +6,10 @@ main-system steps modulo a second system.  Tables are computed by brute force
 over a canonical enumeration of terms, so they are exact at desk scale.  The
 enumeration builds each size from cached argument lists of smaller sizes,
 made only when a larger term first needs them; the row being tabled is
-streamed, not stored.  The innermost-loop search streams the same
-enumeration and stops at the first innermost cycle.
+streamed, not stored.  A normal form has height 0, so once a table has its
+first witness it streams no term that the left-hand sides prove normal.
+The innermost-loop search streams the same enumeration, every term of it,
+and stops at the first innermost cycle.
 """
 
 from __future__ import annotations
@@ -29,61 +31,109 @@ from .rewriting import (
 from .terms import Fun, Symbol, Term, Trs, Var, canonical_var_name, is_left_linear
 
 
+#: What _Enumeration streams: each term, its count of distinct variables,
+#: and its state.
+_Stream = Iterator[tuple[Term, int, int]]
+
+
 class _Enumeration:
     """Canonical terms over one signature: variables first, then symbols in
     sorted order.  lists[size, used] holds the terms of that size after used
-    distinct variables and, in a parallel list, the count of distinct
-    variables after each; it is built when a larger term first asks for it
-    as an argument.  Two lists take a quarter of the memory of pairs."""
+    distinct variables and, in parallel lists, the count of distinct
+    variables after each and each term's state; it is built when a larger
+    term first asks for it as an argument.  Three lists take far less
+    memory than one list of triples.
 
-    def __init__(self, signature: Iterable[Symbol], max_vars: int):
+    A term's state comes from a bottom-up tree automaton (Comon et al.,
+    Tree Automata Techniques and Applications) over the linearised
+    non-variable subterms of the left-hand sides lhss: the bit set of the
+    patterns it matches, or -1, "maybe reducible", when an argument is or
+    a linearised left-hand side matches at the root.  Linearising only
+    widens matching, so a state >= 0 proves the term normal in every system
+    whose left-hand sides are in lhss.  stream(..., cut=True) never builds
+    the terms so proved."""
+
+    def __init__(self, signature: Iterable[Symbol], max_vars: int,
+                 lhss: Iterable[Term] = ()):
         if max_vars < 0:
             raise ValueError("max_vars must not be negative")
         self.symbols = tuple(sorted(set(signature)))
         self.max_vars = max_vars
-        self.lists: dict[tuple[int, int], tuple[list[Term], list[int]]] = {}
+        self.lists: dict[tuple[int, int], tuple[list[Term], list[int], list[int]]] = {}
+        #: (symbol, bits of the argument patterns, 0 for a variable) -> bit
+        self.bits: dict[tuple[Symbol, tuple[int, ...]], int] = {}
+        self.reducible = 0
+        for lhs in lhss:
+            self.reducible |= self._bit(lhs)
+        #: (symbol, states of all arguments but the last) -> {state of the
+        #: last argument: state of the term}
+        self.rows: dict[tuple, dict[int, int]] = {}
 
-    def stream(self, size: int, used: int = 0) -> Iterator[tuple[Term, int]]:
-        if size == 1:
+    def _bit(self, t: Term) -> int:
+        if isinstance(t, Var):
+            return 0
+        key = (t.symbol, tuple(map(self._bit, t.args)))
+        return self.bits.setdefault(key, 1 << len(self.bits))
+
+    def _state(self, f: Symbol, states: tuple[int, ...]) -> int:
+        if -1 in states:
+            return -1
+        out = 0
+        for (g, children), b in self.bits.items():
+            if g is f and all(not c or c & s for c, s in zip(children, states)):
+                out |= b
+        return -1 if out & self.reducible else out
+
+    def stream(self, size: int, used: int = 0, cut: bool = False) -> _Stream:
+        if size == 1 and not cut:
             for i in range(used):
-                yield Var(canonical_var_name(i)), used
+                yield Var(canonical_var_name(i)), used, 0
             if used < self.max_vars:
-                yield Var(canonical_var_name(used)), used + 1
+                yield Var(canonical_var_name(used)), used + 1, 0
         for f in self.symbols:
             if f.arity == 0:
                 if size == 1:
-                    yield Fun(f), used
+                    state = self._state(f, ())
+                    if not cut or state < 0:
+                        yield Fun(f), used, state
             elif size > f.arity:
-                yield from self._apply(f, (), size - 1, f.arity, used)
+                yield from self._apply(f, (), (), size - 1, f.arity, used, cut)
 
-    def _listed(self, size: int, used: int) -> Iterator[tuple[Term, int]]:
+    def _listed(self, size: int, used: int) -> _Stream:
         out = self.lists.get((size, used))
         if out is None:
-            terms, after = [], []
-            for t, u in self.stream(size, used):
+            terms, after, states = [], [], []
+            for t, u, s in self.stream(size, used):
                 terms.append(t)
                 after.append(u)
-            out = self.lists[size, used] = (terms, after)
+                states.append(s)
+            out = self.lists[size, used] = (terms, after, states)
         return zip(*out)
 
-    def _apply(
-        self, f: Symbol, done: tuple[Term, ...], budget: int, count: int, used: int
-    ) -> Iterator[tuple[Term, int]]:
-        """f applied to done and then count more arguments of total size budget."""
+    def _apply(self, f: Symbol, done: tuple[Term, ...], states: tuple[int, ...],
+               budget: int, count: int, used: int, cut: bool) -> _Stream:
+        """f applied to done, whose states are states, and then count more
+        arguments of total size budget."""
         if count == 1:
-            for t, u in self._listed(budget, used):
-                yield Fun(f, done + (t,)), u
+            row = self.rows.setdefault((f,) + states, {})
+            for t, u, s in self._listed(budget, used):
+                state = row.get(s)
+                if state is None:
+                    state = row[s] = self._state(f, states + (s,))
+                if not cut or state < 0:
+                    yield Fun(f, done + (t,)), u, state
             return
         for first in range(1, budget - count + 2):
-            for t, u in self._listed(first, used):
-                yield from self._apply(f, done + (t,), budget - first, count - 1, u)
+            for t, u, s in self._listed(first, used):
+                yield from self._apply(f, done + (t,), states + (s,),
+                                       budget - first, count - 1, u, cut)
 
 
 def terms_of_size(
     signature: Iterable[Symbol], size: int, max_vars: int = 2
 ) -> Iterator[Term]:
     """Canonical terms of exactly the given size over the signature."""
-    return (t for t, _ in _Enumeration(signature, max_vars).stream(size))
+    return (t for t, _, _ in _Enumeration(signature, max_vars).stream(size))
 
 
 def enumerate_terms(
@@ -97,7 +147,7 @@ def enumerate_terms(
     """
     enumeration = _Enumeration(signature, max_vars)
     return [
-        t for size in range(1, max_size + 1) for t, _ in enumeration.stream(size)
+        t for size in range(1, max_size + 1) for t, _, _ in enumeration.stream(size)
     ]
 
 
@@ -136,11 +186,14 @@ def _fill_table(
 ) -> ComplexityTable:
     if fuel < 1:
         raise ValueError("fuel must be positive")
-    enumeration = _Enumeration(signature, max_vars)
+    # a relative search's trs holds the rules of both systems
+    lhss = [rule.lhs for rule in search.trs.rules]
+    enumeration = _Enumeration(signature, max_vars, lhss)
     best = 0
     witness: Term | None = None
     for n in range(1, max_size + 1):
-        for t, _ in enumeration.stream(n):
+        # a normal form has height 0: past the first witness it changes no row
+        for t, _, _ in enumeration.stream(n, cut=witness is not None):
             outcome = search.height(t, fuel)
             if isinstance(outcome, Finished):
                 if witness is None or outcome.value > best:
@@ -175,7 +228,7 @@ def detect_innermost_nontermination(
     enumeration = _Enumeration(trs.signature, max_vars)
     exhausted, count = False, 0
     for n in range(1, max_term_size + 1):
-        for t, _ in enumeration.stream(n):
+        for t, _, _ in enumeration.stream(n):
             count += 1
             outcome = search.height(t, fuel)
             if isinstance(outcome, LoopDetected):

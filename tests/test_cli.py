@@ -247,6 +247,18 @@ def test_searches_reject_fuel_zero_before_enumerating(capsys):
             assert "fuel must be positive" in err
 
 
+def test_dc_with_no_size_to_table_is_vacuous(capsys):
+    for size in ("0", "-2"):
+        for extra in ((), ("--relative-to", ADD)):
+            code, out, _ = run(capsys, "dc", ADD, "--max-size", size, *extra)
+            assert (code, out) == (2, "strategy: full\nvacuous: no sizes tabled\n")
+            code, out, _ = run(capsys, "dc", ADD, "--max-size", size, *extra,
+                               "--json")
+            assert code == 2
+            report = json.loads(out)
+            assert (report["status"], report["data"]["rows"]) == ("vacuous", [])
+
+
 def test_dc_relative(capsys, tmp_path):
     modulo = tmp_path / "modulo.trs"
     modulo.write_text("(RULES f -> g)\n", encoding="utf-8")

@@ -12,6 +12,7 @@ from reference import canonical
 from atrs.complexity import (
     ComplexityTable,
     DcRow,
+    _Enumeration,
     dc_relative_table,
     dc_table,
     enumerate_terms,
@@ -26,7 +27,7 @@ from atrs.rewriting import (
     StrategyKind,
     derivation_height,
 )
-from atrs.terms import Fun, Symbol, Var, is_left_linear
+from atrs.terms import APP, Fun, Symbol, Var, is_left_linear
 from atrs.uncurrying import TransformError, transform
 
 FULL = StrategyKind.FULL
@@ -122,6 +123,28 @@ def test_enumeration_equals_the_recursive_reference_in_order(trs, max_vars):
     assert enumerate_terms(signature, 6, max_vars) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(strategies.system_pairs())
+def test_terms_proved_normal_are_normal_forms(pair):
+    """A term that the state automaton over both systems' left-hand sides
+    proves normal is a normal form of both; when both are left-linear, so
+    is every normal form; and the cut stream drops exactly those terms.
+    The reference-table properties below check the tables the cut serves."""
+    main, modulo = pair
+    exact = is_left_linear(main) and is_left_linear(modulo)
+    lhss = [rule.lhs for rule in main.rules + modulo.rules]
+    enumeration = _Enumeration(main.signature | modulo.signature, 2, lhss)
+    for n in range(1, 6):
+        listed = list(enumeration.stream(n))
+        for t, _, state in listed:
+            normal = reference.is_normal_form(main, t) and reference.is_normal_form(
+                modulo, t
+            )
+            assert normal if state >= 0 else not (exact and normal), t
+        cut = [t for t, _, _ in enumeration.stream(n, cut=True)]
+        assert cut == [t for t, _, state in listed if state < 0]
+
+
 def test_enumeration_has_no_renaming_duplicates():
     terms = enumerate_terms({A0, O2}, 5)
     assert len(terms) == len(set(terms))
@@ -154,6 +177,26 @@ def test_dc_values_never_decrease_with_size():
     assert table.incomplete_at is None
     values = [table.rows[n].value for n in range(1, 7)]
     assert values == sorted(values)
+
+
+def test_a_table_never_builds_a_start_term_it_proves_normal():
+    # addition under symbol names no other test uses, so that no term over
+    # them is interned before the table runs
+    trs = trs_of(
+        "(VAR x y) (RULES plus9 @ x @ zero9 -> x"
+        "  plus9 @ x @ (succ9 @ y) -> succ9 @ (plus9 @ x @ y))"
+    )
+    table = dc_table(trs, 9, FULL, 10_000)
+    assert table.rows[9].value == 3
+
+    def built(head, arg):
+        # parsing builds the two arguments of head @ arg, never the term
+        arities = {s.name: s.arity for s in trs.signature}
+        args = tuple(parse_term(a, {"x"}, arities) for a in (head, arg))
+        return (APP, args) in Fun._intern
+
+    assert not built("succ9", "succ9 @ (succ9 @ (succ9 @ x))")
+    assert built("plus9 @ x", "succ9 @ (succ9 @ zero9)")
 
 
 def test_dc_keeps_the_first_witness_on_ties():
