@@ -9,7 +9,8 @@ made only when a larger term first needs them; the row being tabled is
 streamed, not stored.  A normal form has height 0, so once a table has its
 first witness it streams no term that the left-hand sides prove normal.
 The innermost-loop search streams the same enumeration, every term of it,
-and stops at the first innermost cycle.
+searches none that the left-hand sides prove normal, and stops at the first
+innermost cycle.
 """
 
 from __future__ import annotations
@@ -218,18 +219,25 @@ def detect_innermost_nontermination(
 
     Terms of size up to max_term_size over the system's signature are tried
     in enumeration order; each height search explores at most fuel distinct
-    terms.  Returns LoopDetected with the first innermost cycle found;
-    otherwise FuelExhausted if some start term ran out of fuel, else
+    terms.  A start term that the left-hand sides prove normal starts no
+    cycle: it is counted and recorded with height 0, but not searched.
+    Returns LoopDetected with the first innermost cycle found; otherwise
+    FuelExhausted if some start term ran out of fuel, else
     Finished(number of start terms), which is no proof of termination.
     """
     if fuel < 1:
         raise ValueError("fuel must be positive")
     search = strategy_search(trs, StrategyKind.INNERMOST)
-    enumeration = _Enumeration(trs.signature, max_vars)
+    lhss = [rule.lhs for rule in trs.rules]
+    enumeration = _Enumeration(trs.signature, max_vars, lhss)
     exhausted, count = False, 0
     for n in range(1, max_term_size + 1):
-        for t, _, _ in enumeration.stream(n):
+        for t, _, state in enumeration.stream(n):
             count += 1
+            if state >= 0:
+                # later searches then read its height 0 without fuel
+                search.memo[t] = 0
+                continue
             outcome = search.height(t, fuel)
             if isinstance(outcome, LoopDetected):
                 return outcome

@@ -24,7 +24,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 from .terms import (
@@ -283,22 +283,14 @@ class HeightSearch:
     height() may be called for many start terms and reuses everything
     already explored.  Fuel counts terms newly explored by one call;
     memoized subgraphs are free.  Subclasses change the graph by overriding
-    _successors and _cycle_trace.
-
-    A start term whose arguments are known normal in trs and at whose root
-    no rule matches is a normal form: it has no step under any strategy and
-    no relative successor, so its height is 0.  height() records it in
-    normal without building a successor tuple, a search frame or a
-    step-table entry.
+    _successors and _cycle_trace.  A caller that has proved a term normal
+    may record it in memo with height 0, as height() would.
     """
 
     def __init__(self, trs: Trs, kind: StrategyKind):
         self.trs = trs
         self.kind = kind
         self.memo: dict[Term, int] = {}
-        #: Start terms found normal in trs by height(); variables are normal
-        #: and never stored.
-        self.normal: set[Term] = set()
         self._steps = _TABLES[kind]
 
     def _successors(self, t: Term) -> tuple[Term, ...]:
@@ -316,30 +308,12 @@ class HeightSearch:
             for a, b in zip(cycle, cycle[1:] + cycle[:1])
         )
 
-    def _normal_at_once(self, t: Term) -> bool:
-        """True, and t recorded in normal, when t is a variable or its
-        arguments are known normal and no candidate rule matches at its root."""
-        if isinstance(t, Var):
-            return True
-        normal = self.normal
-        for a in t.args:
-            if a not in normal and not isinstance(a, Var):
-                return False
-        for _, rule in self.trs.candidates(t):
-            if match(rule.lhs, t) is not None:
-                return False
-        normal.add(t)
-        return True
-
     def height(self, t: Term, fuel: int) -> FuelOutcome:
         if fuel <= 0:
             raise ValueError("fuel must be positive")
         memo = self.memo
         if t in memo:
             return Finished(memo[t])
-        if self._normal_at_once(t):
-            memo[t] = 0
-            return Finished(0)
         new_nodes = 1
         try:
             succ = self._successors(t)
@@ -399,28 +373,22 @@ class RelativeHeightSearch(HeightSearch):
     Successor edges are t => u iff t ->modulo* . ->main . ->modulo* u; the
     height of t is the maximal number of main steps in any mixed derivation.
     fuel bounds each modulo closure (see relative_successors); one modulo
-    Closure serves every term the search explores.  Loop witnesses are
-    concrete full-step traces in combined, the disjoint union of the two
-    systems, main rules first.
+    Closure, built with the search, serves every term the search explores,
+    so fuel must be positive.  Loop witnesses are concrete full-step traces
+    in combined, the disjoint union of the two systems, main rules first.
     """
 
     def __init__(self, main: Trs, modulo: Trs, fuel: int):
         self.main = main
-        self.modulo = modulo
-        self.fuel = fuel
+        self.closure = Closure(modulo, StrategyKind.FULL, fuel)
         self.combined = Trs(
             main.rules + modulo.rules,
             extra_signature=main.signature | modulo.signature,
         )
         super().__init__(self.combined, StrategyKind.FULL)
 
-    @cached_property
-    def _modulo_closure(self) -> Closure:
-        # built at the first step, so a search that never steps accepts any fuel
-        return Closure(self.modulo, StrategyKind.FULL, self.fuel)
-
     def _successors(self, t: Term) -> tuple[Term, ...]:
-        return tuple(relative_successors(self.main, self._modulo_closure, t))
+        return tuple(relative_successors(self.main, self.closure, t))
 
     def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:
         """A shortest combined trace from cycle[0] back to itself with at

@@ -14,7 +14,7 @@ from atrs.complexity import dc_table, detect_innermost_nontermination, enumerate
 from atrs.parsing import parse_term, parse_trs
 from atrs.rewriting import (
     _TABLES,
-    _full_steps,
+    _innermost_steps,
     _root_steps,
     Closure,
     Finished,
@@ -136,7 +136,7 @@ _BUDGET = 100
 @given(st.one_of(strategies.first_order_systems(), strategies.applicative_systems()))
 def test_heights_and_closures_equal_the_reference_on_random_systems(trs):
     """One search and one closure per strategy serve every start term, so
-    their memos and the search's normal set carry over as in a dc table.
+    their memos carry over as in a dc table.
     A start term the reference cannot finish within its budget is skipped;
     for the others the fuel suffices, since each counts distinct terms."""
     for kind in StrategyKind:
@@ -475,25 +475,54 @@ def test_innermost_loop_search_stops_enumerating_at_the_first_loop(
     assert asked and max(asked) <= 3
 
 
-def test_a_normal_start_term_with_normal_arguments_fills_no_step_table():
-    # a system no other test builds, so no step table holds its terms yet
-    trs = trs_of("(VAR x) (RULES nfa @ (nfb @ x) -> x)")
-    search = strategy_search(trs, FULL)
+def test_the_loop_search_builds_no_step_table_for_start_terms_proved_normal():
+    # f(g(h(x))) is the only redex pattern: every term up to size 3 is
+    # proved normal by the lhs automaton, and f(g(h(x))) at size 4 is not
+    trs = trs_of("(VAR x) (RULES f(g(h(x))) -> x)")
 
-    def table_sizes():
-        return (_full_steps.cache_info().currsize,
-                _root_steps.cache_info().currsize)
+    def table_size():
+        return _innermost_steps.cache_info().currsize
 
-    before = table_sizes()
-    normal = [term_in(trs, s) for s in ("nfa", "nfb", "nfb @ nfa", "nfa @ nfb")]
-    for t in normal:
-        assert search.height(t, 10) == Finished(0)
-    assert table_sizes() == before
-    assert set(normal) <= search.normal
-    # an argument never met as a start term is not known normal
-    assert search.height(term_in(trs, "nfb @ (nfb @ nfb)"), 10) == Finished(0)
-    assert table_sizes() != before
-    assert search.height(term_in(trs, "nfa @ (nfb @ nfa)"), 10) == Finished(1)
+    before = table_size()
+    assert detect_innermost_nontermination(trs, 3, 10) == Finished(
+        len(enumerate_terms(trs.signature, 3)))
+    assert table_size() == before
+    assert detect_innermost_nontermination(trs, 4, 10) == Finished(
+        len(enumerate_terms(trs.signature, 4)))
+    assert table_size() != before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(strategies.first_order_systems(), strategies.applicative_systems()))
+def test_innermost_loop_search_equals_the_reference_on_random_systems(trs):
+    """The search, which skips the start terms the lhs automaton proves
+    normal, finds a loop exactly when the reference height search does and
+    otherwise counts every start term.  A start term the reference cannot
+    finish within its budget leaves the verdict open; fuel _BUDGET suffices
+    for the others, as each search counts distinct terms."""
+    steps = functools.cache(lambda s: reference.successors(trs, s, INNER))
+    starts = [t for n in range(1, 5)
+              for t in reference.terms_of_size(trs.signature, n, 2)]
+    looping = undecided = False
+    for t in starts:
+        try:
+            looping = reference.height(steps, t, reference.Budget(_BUDGET)) is None
+        except reference.BudgetExceeded:
+            undecided = True
+            continue
+        if looping:
+            break
+    got = detect_innermost_nontermination(trs, 4, _BUDGET)
+    if isinstance(got, LoopDetected):
+        cur = got.witness.start
+        for step in got.witness.trace:
+            assert step in reference.steps(trs, cur, INNER)
+            cur = step.result
+        assert got.witness.trace and cur == got.witness.start
+    if looping:
+        assert isinstance(got, LoopDetected)
+    elif not undecided:
+        assert got == Finished(len(starts))
 
 
 def test_innermost_and_rightmost_heights_agree_pointwise():
