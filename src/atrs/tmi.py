@@ -13,6 +13,8 @@ Arithmetic is exact: plain Python integers, no overflow, no rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, ge, mul
 from typing import Mapping
 
 from .terms import Rule, Symbol, Term, Trs, Var, term_symbols
@@ -50,26 +52,17 @@ def identity(dim: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_add(r, s) for r, s in zip(a, b))
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(map(vec_add, a, b))
 
 def mat_ge(a: Matrix, b: Matrix) -> bool:
-    return all(x >= y for r, s in zip(a, b) for x, y in zip(r, s))
+    return all(map(ge, chain(*a), chain(*b)))
 
 def vec_strict_gt(u: Vector, v: Vector) -> bool:
     """First component strictly greater, the rest componentwise >=."""
-    return u[0] > v[0] and all(a >= b for a, b in zip(u[1:], v[1:]))
+    return u[0] > v[0] and all(map(ge, u, v))
 
 
 #: Interpretation of one symbol: per-argument matrices and the constant vector.
@@ -116,7 +109,7 @@ class MatrixInterp:
         return f"MatrixInterp(dim={self.dim}, symbols={len(self.entries)})"
 
 
-@dataclass
+@dataclass(slots=True)
 class LinearForm:
     """A vector-valued linear polynomial: sum of coeffs[x]*x plus const."""
 
@@ -145,9 +138,10 @@ def _linearize(entries: Mapping[Symbol, SymbolInterp], dim: int, t: Term) -> Lin
             coeffs[name] = mat_add(coeffs[name], m) if name in coeffs else m
             continue
         sub = _linearize(entries, dim, arg)
-        const = vec_add(const, mat_vec(m, sub.const))
+        const = tuple(map(add, const, [sum(map(mul, row, sub.const)) for row in m]))
         for name, c in sub.coeffs.items():
-            prod = mat_mul(m, c)
+            cols = tuple(zip(*c))
+            prod = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in m])
             coeffs[name] = mat_add(coeffs[name], prod) if name in coeffs else prod
     return LinearForm(coeffs, const)
 

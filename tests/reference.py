@@ -22,7 +22,9 @@ or would build ever larger terms, stops with BudgetExceeded instead.
 Positions, subterm access and replacement, canonical renaming, the
 currying system C with its normal forms, the inverse of uncurrying, and
 the value of a term under a matrix interpretation are the paper's
-definitions that only these references and the tests use.
+definitions that only these references and the tests use.  The vector and
+matrix arithmetic is written out here too, so that no reference shares
+atrs.tmi's kernel.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from atrs.terms import (
     subterms,
     variables,
 )
-from atrs.tmi import InterpretationError, MatrixInterp, Vector, mat_vec, vec_add
+from atrs.tmi import InterpretationError, Matrix, MatrixInterp, Vector
 from atrs.uncurrying import AtrsContext
 
 
@@ -334,6 +336,25 @@ def curry_nf(
         return out
 
     return go(t)
+
+
+def vec_add(u: Vector, v: Vector) -> Vector:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(vec_add(r, s) for r, s in zip(a, b))
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def evaluate(interp: MatrixInterp, t: Term, assignment: Mapping[str, Vector]) -> Vector:

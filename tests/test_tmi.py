@@ -4,7 +4,7 @@ import pytest
 import samples
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import evaluate
+from reference import evaluate, mat_vec, vec_add
 
 from atrs.complexity import enumerate_terms
 from atrs.parsing import format_tmi
@@ -16,15 +16,19 @@ from atrs.tmi import (
     MissingSymbolError,
     SearchBudgetExhausted,
     _linearize,
+    _orientation_failure,
     check_tmi,
     identity,
-    mat_vec,
     search_tmi,
-    vec_add,
-    vec_strict_gt,
 )
 from atrs.uncurrying import transform
-from tmi_reference import _candidate_matrices, _candidate_vectors
+from tmi_reference import (
+    _candidate_matrices,
+    _candidate_vectors,
+    linearize,
+    orientation_failure,
+    vec_strict_gt,
+)
 from tmi_reference import search_tmi as reference_search_tmi
 
 X = Var("x")
@@ -333,11 +337,14 @@ _FA = Fun(_F, (Fun(_A),))
 
 
 @settings(max_examples=60, deadline=None)
-@given(_small_systems(), st.integers(1, 2), st.integers(1, 2))
+# (dimension, coefficient bound); at dimension 3 a bound of 2 puts most
+# systems beyond the reference's budget
+@given(_small_systems(), st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]))
 # either argument matrix of h can carry the decrease; which one the first
 # certificate uses depends on the order the arguments are branched on
-@example(Trs([Rule(Fun(_H, (_FA, _FA)), Fun(_H, (Fun(_A), Fun(_A))))]), 2, 1)
-def test_search_agrees_with_generate_and_test(trs, dim, coeff_bound):
+@example(Trs([Rule(Fun(_H, (_FA, _FA)), Fun(_H, (Fun(_A), Fun(_A))))]), (2, 1))
+def test_search_agrees_with_generate_and_test(trs, space):
+    dim, coeff_bound = space
     try:
         want = reference_search_tmi(trs, dim, coeff_bound, 5_000)
     except SearchBudgetExhausted:
@@ -346,16 +353,40 @@ def test_search_agrees_with_generate_and_test(trs, dim, coeff_bound):
 
 
 @st.composite
-def _candidate_interpretations(draw, trs):
-    """An interpretation of trs's signature from the reference search's
-    candidate space: monotone, triangular, entries bounded."""
-    dim, bound = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+def _candidate_entries(draw, signature, dim, bound):
+    """One entry per symbol from the reference search's candidate space:
+    monotone, triangular, entries bounded."""
     mats = st.sampled_from(_candidate_matrices(dim, bound))
     vecs = st.sampled_from(_candidate_vectors(dim, bound))
-    return MatrixInterp(dim, {
+    return {
         f: (tuple(draw(mats) for _ in range(f.arity)), draw(vecs))
-        for f in sorted(trs.signature)
-    })
+        for f in sorted(signature)
+    }
+
+
+@st.composite
+def _candidate_interpretations(draw, trs):
+    dim, bound = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return MatrixInterp(dim, draw(_candidate_entries(trs.signature, dim, bound)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_linearize_and_orientation_equal_the_reference(data):
+    # search_tmi passes distinct interpretations for the two sides: the
+    # largest completion for the lhs and the smallest for the rhs
+    trs = data.draw(_small_systems())
+    dim = data.draw(st.integers(1, 3))
+    high = data.draw(_candidate_entries(trs.signature, dim, 3))
+    low = data.draw(_candidate_entries(trs.signature, dim, 3))
+    assume(high != low)
+    for rule in trs.rules:
+        for entries in (high, low):
+            for t in (rule.lhs, rule.rhs):
+                lf = _linearize(entries, dim, t)
+                assert (lf.coeffs, lf.const) == linearize(entries, dim, t)
+        assert _orientation_failure(high, low, dim, rule) == orientation_failure(
+            high, low, dim, rule)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,23 +5,68 @@ It enumerates whole symbol interpretations, decodes candidate j of a
 symbol into one matrix per argument and a constant vector, and checks a
 rule once all of its symbols are assigned.  Its budget counts whole
 symbol interpretations, not entry choices.
+
+Linearisation and the orientation test are written out here too, from the
+definitions and on the plain arithmetic of tests/reference.py, so that the
+reference shares no code with atrs.tmi's kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from atrs.terms import Fun, Rule, Symbol, Trs
-from atrs.tmi import (
-    Matrix,
-    MatrixInterp,
-    SearchBudgetExhausted,
-    SymbolInterp,
-    Vector,
-    _linearize,
-    mat_ge,
-    vec_strict_gt,
-)
+from typing import Mapping
+
+from reference import mat_add, mat_mul, mat_vec, vec_add
+
+from atrs.terms import Fun, Rule, Symbol, Term, Trs, Var
+from atrs.tmi import Matrix, MatrixInterp, SearchBudgetExhausted, SymbolInterp, Vector
+
+
+def mat_ge(a: Matrix, b: Matrix) -> bool:
+    return all(x >= y for r, s in zip(a, b) for x, y in zip(r, s))
+
+
+def vec_strict_gt(u: Vector, v: Vector) -> bool:
+    """First component strictly greater, the rest componentwise >=."""
+    return u[0] > v[0] and all(a >= b for a, b in zip(u[1:], v[1:]))
+
+
+def linearize(
+    entries: Mapping[Symbol, SymbolInterp], dim: int, t: Term
+) -> tuple[dict[str, Matrix], Vector]:
+    """[t] as a coefficient matrix per variable name and a constant vector:
+    a variable x is I*x + 0, and f(t1, ..., tn) is F1*[t1] + ... + Fn*[tn] + f."""
+    if isinstance(t, Var):
+        identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+        return {t.name: identity}, (0,) * dim
+    mats, const = entries[t.symbol]
+    coeffs: dict[str, Matrix] = {}
+    for m, arg in zip(mats, t.args):
+        sub_coeffs, sub_const = linearize(entries, dim, arg)
+        const = vec_add(const, mat_vec(m, sub_const))
+        for name, c in sub_coeffs.items():
+            prod = mat_mul(m, c)
+            coeffs[name] = mat_add(coeffs[name], prod) if name in coeffs else prod
+    return coeffs, const
+
+
+def orientation_failure(
+    high: Mapping[Symbol, SymbolInterp], low: Mapping[Symbol, SymbolInterp],
+    dim: int, rule: Rule,
+) -> str | None:
+    """Why [lhs] under high is not strictly above [rhs] under low for every
+    assignment, or None: the constant parts first, then the coefficients in
+    variable name order, a missing coefficient being the zero matrix."""
+    left_coeffs, left_const = linearize(high, dim, rule.lhs)
+    right_coeffs, right_const = linearize(low, dim, rule.rhs)
+    if not vec_strict_gt(left_const, right_const):
+        return "constant part does not decrease strictly"
+    zero = ((0,) * dim,) * dim
+    for name in sorted({**left_coeffs, **right_coeffs}):
+        if not mat_ge(left_coeffs.get(name, zero), right_coeffs.get(name, zero)):
+            return f"coefficient of {name} is not dominated"
+    return None
 
 
 def _candidate_matrices(dim: int, bound: int) -> list[Matrix]:
@@ -129,22 +174,13 @@ def search_tmi(
                 raise SearchBudgetExhausted(attempts[0])
             entries[sym] = decode(sym, j)
             if all(
-                orientation_ok(trs.rules[i]) for i in ready[k]
+                orientation_failure(entries, entries, dim, trs.rules[i]) is None
+                for i in ready[k]
             ):
                 found = assign(k + 1)
                 if found is not None:
                     return found
         del entries[sym]
         return None
-
-    def orientation_ok(rule: Rule) -> bool:
-        left = _linearize(entries, dim, rule.lhs)
-        right = _linearize(entries, dim, rule.rhs)
-        if not vec_strict_gt(left.const, right.const):
-            return False
-        for name in {**left.coeffs, **right.coeffs}:
-            if not mat_ge(left.coeff(name, dim), right.coeff(name, dim)):
-                return False
-        return True
 
     return assign(0)
