@@ -138,6 +138,8 @@ def _linearize(entries: Mapping[Symbol, SymbolInterp], dim: int, t: Term) -> Lin
             coeffs[name] = mat_add(coeffs[name], m) if name in coeffs else m
             continue
         sub = _linearize(entries, dim, arg)
+        # the products m*sub, inline and as list comprehensions: this is the
+        # innermost loop of search_tmi, and helper calls and generators cost
         const = tuple(map(add, const, [sum(map(mul, row, sub.const)) for row in m]))
         for name, c in sub.coeffs.items():
             cols = tuple(zip(*c))

@@ -14,7 +14,6 @@ reference shares no code with atrs.tmi's kernel.
 from __future__ import annotations
 
 import itertools
-
 from typing import Mapping
 
 from reference import mat_add, mat_mul, mat_vec, vec_add
