@@ -109,20 +109,14 @@ class MatrixInterp:
         return f"MatrixInterp(dim={self.dim}, symbols={len(self.entries)})"
 
 
-@dataclass(slots=True)
-class LinearForm:
-    """A vector-valued linear polynomial: sum of coeffs[x]*x plus const."""
-
-    coeffs: dict[str, Matrix]
-    const: Vector
-
-    def coeff(self, name: str, dim: int) -> Matrix:
-        return self.coeffs.get(name, zero_matrix(dim))
+#: A vector-valued linear polynomial: the coefficient matrix of each variable
+#: and the constant vector.
+LinearForm = tuple[dict[str, Matrix], Vector]
 
 
 def _linearize(entries: Mapping[Symbol, SymbolInterp], dim: int, t: Term) -> LinearForm:
     if isinstance(t, Var):
-        return LinearForm({t.name: identity(dim)}, zero_vector(dim))
+        return {t.name: identity(dim)}, zero_vector(dim)
     try:
         mats, vec = entries[t.symbol]
     except KeyError:
@@ -137,15 +131,15 @@ def _linearize(entries: Mapping[Symbol, SymbolInterp], dim: int, t: Term) -> Lin
             name = arg.name
             coeffs[name] = mat_add(coeffs[name], m) if name in coeffs else m
             continue
-        sub = _linearize(entries, dim, arg)
+        sub_coeffs, sub_const = _linearize(entries, dim, arg)
         # the products m*sub, inline and as list comprehensions: this is the
         # innermost loop of search_tmi, and helper calls and generators cost
-        const = tuple(map(add, const, [sum(map(mul, row, sub.const)) for row in m]))
-        for name, c in sub.coeffs.items():
+        const = tuple(map(add, const, [sum(map(mul, row, sub_const)) for row in m]))
+        for name, c in sub_coeffs.items():
             cols = tuple(zip(*c))
             prod = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in m])
             coeffs[name] = mat_add(coeffs[name], prod) if name in coeffs else prod
-    return LinearForm(coeffs, const)
+    return coeffs, const
 
 
 def _orientation_failure(
@@ -159,12 +153,13 @@ def _orientation_failure(
     largest and the smallest completion of a partial one.  The constant
     parts are compared first, then the coefficients in variable name order.
     """
-    left = _linearize(high, dim, rule.lhs)
-    right = _linearize(low, dim, rule.rhs)
-    if not vec_strict_gt(left.const, right.const):
+    left, left_const = _linearize(high, dim, rule.lhs)
+    right, right_const = _linearize(low, dim, rule.rhs)
+    if not vec_strict_gt(left_const, right_const):
         return "constant part does not decrease strictly"
-    for name in sorted(left.coeffs.keys() | right.coeffs.keys()):
-        if not mat_ge(left.coeff(name, dim), right.coeff(name, dim)):
+    zero = zero_matrix(dim)
+    for name in sorted(left.keys() | right.keys()):
+        if not mat_ge(left.get(name, zero), right.get(name, zero)):
             return f"coefficient of {name} is not dominated"
     return None
 

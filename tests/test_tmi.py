@@ -50,38 +50,30 @@ def sym(name, arity):
 
 def test_linearize_constants_and_variables():
     ip = interp()
-    zero = _linearize(ip.entries, ip.dim, Fun(sym("0", 0)))
-    assert zero.coeffs == {}
-    assert zero.const == (0, 1)
-    var = _linearize(ip.entries, ip.dim, X)
-    assert var.coeffs == {"x": identity(2)}
-    assert var.const == (0, 0)
+    assert _linearize(ip.entries, ip.dim, Fun(sym("0", 0))) == ({}, (0, 1))
+    assert _linearize(ip.entries, ip.dim, X) == ({"x": identity(2)}, (0, 0))
 
 
 def test_linearize_composes_through_nesting():
     ip = interp()
     t = Fun(sym("s#1", 1), (X,))
-    lf = _linearize(ip.entries, ip.dim, t)
-    assert lf.coeffs == {"x": identity(2)}
-    assert lf.const == (0, 1)
+    assert _linearize(ip.entries, ip.dim, t) == ({"x": identity(2)}, (0, 1))
 
     nested = Fun(sym("add#2", 2), (X, Fun(sym("s#1", 1), (Y,))))
-    lf2 = _linearize(ip.entries, ip.dim, nested)
-    assert lf2.coeffs == {"x": M11, "y": M11}
-    assert lf2.const == (1, 1)
+    assert _linearize(ip.entries, ip.dim, nested) == ({"x": M11, "y": M11}, (1, 1))
 
 
 def test_linearize_and_evaluate_agree():
     ip = interp()
     rng = random.Random(7)
     for t in enumerate_terms(combined_addition().signature, 5):
-        lf = _linearize(ip.entries, ip.dim, t)
+        coeffs, const = _linearize(ip.entries, ip.dim, t)
         for _ in range(3):
             alpha = {
                 v: (rng.randrange(6), rng.randrange(6)) for v in variables(t)
             }
-            want = lf.const
-            for name, coeff in lf.coeffs.items():
+            want = const
+            for name, coeff in coeffs.items():
                 want = vec_add(want, mat_vec(coeff, alpha[name]))
             assert evaluate(ip, t, alpha) == want
 
@@ -383,8 +375,7 @@ def test_linearize_and_orientation_equal_the_reference(data):
     for rule in trs.rules:
         for entries in (high, low):
             for t in (rule.lhs, rule.rhs):
-                lf = _linearize(entries, dim, t)
-                assert (lf.coeffs, lf.const) == linearize(entries, dim, t)
+                assert _linearize(entries, dim, t) == linearize(entries, dim, t)
         assert _orientation_failure(high, low, dim, rule) == orientation_failure(
             high, low, dim, rule)
 
