@@ -73,6 +73,9 @@ _ORACLES = {
     "uncurried-step": verify_uncurried_step,
     "ri-sim": verify_rightmost_simulation,
     "nf-preservation": verify_nf_preservation,
+    # reject what uncurrying rejects, as the other oracles do
+    "subterm-commutation": lambda trs, max_size, fuel: verify_subterm_commutation(
+        transform(trs).context, max_size, fuel),
 }
 
 
@@ -349,12 +352,7 @@ def _cmd_verify(args) -> int:
                          ["vacuous: no start terms searched"])
         return _emit(args, "ok", {"loop": None},
                      [f"no loop found up to size {args.max_size}"])
-    if args.property in _ORACLES:
-        report = _ORACLES[args.property](trs, args.max_size, args.fuel)
-    else:
-        # reject what uncurrying rejects, as the other oracles do
-        ctx = transform(trs).context
-        report = verify_subterm_commutation(ctx, args.max_size, args.fuel)
+    report = _ORACLES[args.property](trs, args.max_size, args.fuel)
     return _report_output(args, report)
 
 
@@ -427,13 +425,14 @@ def _parser() -> _Parser:
     p.add_argument(
         "--property",
         required=True,
-        choices=[*_ORACLES, "subterm-commutation", "innermost-loop"],
+        choices=[*_ORACLES, "innermost-loop"],
     )
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--fuel", type=int, default=10000)
     p.add_argument("--max-vars", type=int, default=2,
                    help="most distinct variables per start term; only"
-                   " innermost-loop reads it")
+                   " innermost-loop reads it, and at most 1 on a left-linear"
+                   " system, which finds the same loops")
     return parser
 
 

@@ -10,7 +10,8 @@ streamed, not stored.  A normal form has height 0, so once a table has its
 first witness it streams no term that the left-hand sides prove normal.
 The innermost-loop search streams the same enumeration, every term of it,
 searches none that the left-hand sides prove normal, and stops at the first
-innermost cycle.
+innermost cycle.  _start_terms is the one place that decides which start
+terms a search streams.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .rewriting import (
     LoopWitness,
     RelativeHeightSearch,
     StrategyKind,
-    strategy_search,
 )
 from .terms import Fun, Symbol, Term, Trs, Var, canonical_var_name, is_left_linear
 
@@ -177,19 +177,29 @@ class ComplexityTable:
     fuel_exhausted_on: Term | None = None
 
 
+def _start_terms(trs: Trs, max_vars: int) -> _Enumeration:
+    """The start terms of every search over trs: canonical terms over its
+    signature, with its left-hand sides for the automaton.
+
+    A left-linear system enumerates at most one variable: merging a term's
+    variables keeps its size and its height under every strategy, and the
+    merged term comes first, so rows, witnesses and loops, innermost cycles
+    included, stay the same.  Only a search stopped by fuel may get further.
+    """
+    if is_left_linear(trs):
+        max_vars = min(max_vars, 1)
+    return _Enumeration(trs.signature, max_vars, [rule.lhs for rule in trs.rules])
+
+
 def _fill_table(
-    table: ComplexityTable,
-    search: HeightSearch,
-    fuel: int,
-    signature: Iterable[Symbol],
-    max_size: int,
-    max_vars: int,
+    search: HeightSearch, max_size: int, fuel: int, max_vars: int
 ) -> ComplexityTable:
     if fuel < 1:
         raise ValueError("fuel must be positive")
-    # a relative search's trs holds the rules of both systems
-    lhss = [rule.lhs for rule in search.trs.rules]
-    enumeration = _Enumeration(signature, max_vars, lhss)
+    # a relative search's trs is the combined system, left-linear exactly
+    # when both systems are
+    enumeration = _start_terms(search.trs, max_vars)
+    table = ComplexityTable(strategy=search.kind)
     best = 0
     witness: Term | None = None
     for n in range(1, max_size + 1):
@@ -217,19 +227,18 @@ def detect_innermost_nontermination(
 ) -> FuelOutcome:
     """Search enumerated start terms for an innermost cycle.
 
-    Terms of size up to max_term_size over the system's signature are tried
-    in enumeration order; each height search explores at most fuel distinct
-    terms.  A start term that the left-hand sides prove normal starts no
-    cycle: it is counted and recorded with height 0, but not searched.
-    Returns LoopDetected with the first innermost cycle found; otherwise
-    FuelExhausted if some start term ran out of fuel, else
+    The start terms of size up to max_term_size come from _start_terms and
+    are tried in enumeration order; each height search explores at most fuel
+    distinct terms.  A start term that the left-hand sides prove normal
+    starts no cycle: it is counted and recorded with height 0, but not
+    searched.  Returns LoopDetected with the first innermost cycle found;
+    otherwise FuelExhausted if some start term ran out of fuel, else
     Finished(number of start terms), which is no proof of termination.
     """
     if fuel < 1:
         raise ValueError("fuel must be positive")
-    search = strategy_search(trs, StrategyKind.INNERMOST)
-    lhss = [rule.lhs for rule in trs.rules]
-    enumeration = _Enumeration(trs.signature, max_vars, lhss)
+    search = HeightSearch(trs, StrategyKind.INNERMOST)
+    enumeration = _start_terms(trs, max_vars)
     exhausted, count = False, 0
     for n in range(1, max_term_size + 1):
         for t, _, state in enumeration.stream(n):
@@ -252,22 +261,13 @@ def dc_table(
     fuel: int,
     max_vars: int = 2,
 ) -> ComplexityTable:
-    """Exact dc (or innermost dc) values for sizes 1..max_size.
+    """Exact dc (or innermost dc) values for sizes 1..max_size over the
+    start terms of _start_terms.
 
     Stops at the first size where a loop is detected (the value would be
     undefined) or fuel runs out; completed rows are kept either way.
-
-    A left-linear system enumerates at most one variable: merging a term's
-    variables keeps its size and its height under every strategy, and the
-    merged term comes first, so rows, witnesses and loops stay the same.  Only
-    a table stopped by fuel may get further.
     """
-    table = ComplexityTable(strategy=kind)
-    if is_left_linear(trs):
-        max_vars = min(max_vars, 1)
-    return _fill_table(
-        table, strategy_search(trs, kind), fuel, trs.signature, max_size, max_vars
-    )
+    return _fill_table(HeightSearch(trs, kind), max_size, fuel, max_vars)
 
 
 def dc_relative_table(
@@ -279,18 +279,9 @@ def dc_relative_table(
 ) -> ComplexityTable:
     """dc values counting main steps modulo the second system.
 
-    Enumeration runs over the union signature.  With an empty main system the
-    relation is empty and every row is zero.  When both systems are
-    left-linear, at most one variable is enumerated, as in dc_table.
+    The start terms are those of the combined system: the union signature,
+    and one variable when both systems are left-linear.  With an empty main
+    system the relation is empty and every row is zero.
     """
-    table = ComplexityTable(strategy=StrategyKind.FULL)
-    if is_left_linear(main) and is_left_linear(modulo):
-        max_vars = min(max_vars, 1)
-    return _fill_table(
-        table,
-        RelativeHeightSearch(main, modulo, fuel),
-        fuel,
-        main.signature | modulo.signature,
-        max_size,
-        max_vars,
-    )
+    search = RelativeHeightSearch(main, modulo, fuel)
+    return _fill_table(search, max_size, fuel, max_vars)

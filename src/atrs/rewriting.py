@@ -364,7 +364,7 @@ def derivation_height(trs: Trs, t: Term, kind: StrategyKind, fuel: int) -> FuelO
     when a cycle is reachable (the height is then undefined); FuelExhausted
     when more than fuel distinct terms would have to be visited.
     """
-    return strategy_search(trs, kind).height(t, fuel)
+    return HeightSearch(trs, kind).height(t, fuel)
 
 
 class RelativeHeightSearch(HeightSearch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from atrs import complexity
 from atrs.cli import main
 from atrs.complexity import dc_table, detect_innermost_nontermination, enumerate_terms
-from atrs.parsing import parse_term, parse_trs
+from atrs.parsing import format_term, parse_term, parse_trs
 from atrs.rewriting import (
     _TABLES,
     _innermost_steps,
@@ -32,7 +32,7 @@ from atrs.rewriting import (
     strategy_search,
     successors,
 )
-from atrs.terms import term_sort_key
+from atrs.terms import is_left_linear, term_sort_key, variables
 from atrs.uncurrying import transform
 
 FULL = StrategyKind.FULL
@@ -446,9 +446,11 @@ def test_innermost_nontermination_detector():
     assert isinstance(outcome, LoopDetected)
     replay(looping, outcome.witness, INNER)
 
+    # a left-linear system's start terms have at most one variable
     terminating = transform(samples.system("head_switch")).combined
+    assert is_left_linear(terminating)
     outcome = detect_innermost_nontermination(terminating, 5, 500)
-    assert outcome == Finished(len(list(enumerate_terms(terminating.signature, 5))))
+    assert outcome == Finished(len(enumerate_terms(terminating.signature, 5, 1)))
 
     growing = trs_of("(VAR x) (RULES f @ x -> f @ (s @ x))")
     assert detect_innermost_nontermination(growing, 3, 50) == FuelExhausted()
@@ -492,14 +494,42 @@ def test_the_loop_search_builds_no_step_table_for_start_terms_proved_normal():
     assert table_size() != before
 
 
+def test_the_loop_search_enumerates_one_variable_exactly_on_left_linear_systems(
+    monkeypatch,
+):
+    searched = []
+    height = HeightSearch.height
+
+    def recording(self, t, fuel):
+        searched.append(t)
+        return height(self, t, fuel)
+
+    monkeypatch.setattr(HeightSearch, "height", recording)
+    addition = samples.system("addition")
+    assert detect_innermost_nontermination(addition, 6, 100) == Finished(
+        len(enumerate_terms(addition.signature, 6, 1)))
+    assert searched and all(len(variables(t)) <= 1 for t in searched)
+    # eq @ x @ y is normal only while its arguments differ, so the loop
+    # needs two variables; with one, h @ (eq @ x @ eq) loops instead
+    eq_loop = trs_of("(VAR x y) (RULES eq @ x @ x -> true"
+                     "  h @ (eq @ x @ y) -> h @ (eq @ x @ y))")
+    for max_vars, start in ((2, "h @ (eq @ x @ y)"), (1, "h @ (eq @ x @ eq)")):
+        out = detect_innermost_nontermination(eq_loop, 7, 100, max_vars)
+        assert isinstance(out, LoopDetected)
+        assert format_term(out.witness.start) == start
+        replay(eq_loop, out.witness, INNER)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(strategies.first_order_systems(), strategies.applicative_systems()))
 def test_innermost_loop_search_equals_the_reference_on_random_systems(trs):
     """The search, which skips the start terms the lhs automaton proves
-    normal, finds a loop exactly when the reference height search does and
-    otherwise counts every start term.  A start term the reference cannot
-    finish within its budget leaves the verdict open; fuel _BUDGET suffices
-    for the others, as each search counts distinct terms."""
+    normal and enumerates one variable on a left-linear system, finds a loop
+    exactly when the reference height search from every start term with two
+    variables does, and otherwise counts every start term it enumerates.  A
+    start term the reference cannot finish within its budget leaves the
+    verdict open; fuel _BUDGET suffices for the others, as each search
+    counts distinct terms."""
     steps = functools.cache(lambda s: reference.successors(trs, s, INNER))
     starts = [t for n in range(1, 5)
               for t in reference.terms_of_size(trs.signature, n, 2)]
@@ -522,7 +552,9 @@ def test_innermost_loop_search_equals_the_reference_on_random_systems(trs):
     if looping:
         assert isinstance(got, LoopDetected)
     elif not undecided:
-        assert got == Finished(len(starts))
+        max_vars = 1 if is_left_linear(trs) else 2
+        assert got == Finished(sum(
+            len(reference.terms_of_size(trs.signature, n, max_vars)) for n in range(1, 5)))
 
 
 def test_innermost_and_rightmost_heights_agree_pointwise():
