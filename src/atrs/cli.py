@@ -267,14 +267,14 @@ def _cmd_check_tmi(args) -> int:
     interp = _parse_file(args.tmi, parse_tmi, problem.trs.signature)
     verdict = check_tmi(interp, problem.trs)
     if verdict.ok:
-        degree = verdict.certificate.degree
+        cert = verdict.certificate
         lines = ["monotone: yes", "triangular: yes"]
         for i, rule in enumerate(problem.trs.rules):
             lines.append(f"rule {i + 1}: {format_rule(rule)}   strictly oriented")
-        lines.append(f"certificate: UpperBound({degree})")
-        lines.append(f"dc(n) in O(n^{degree})")
+        lines.append(f"certificate: UpperBound({cert.degree})")
+        lines.append(cert.note)
         data = {
-            "certificate": {"kind": "upper-bound", "degree": degree},
+            "certificate": {"kind": cert.kind, "degree": cert.degree},
             "rules": [format_rule(r) for r in problem.trs.rules],
         }
         return _emit(args, "ok", data, lines)
@@ -366,10 +366,10 @@ def _parser() -> _Parser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func, command=name)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.add_argument("file")
         return p
 
     p = command("uncurry", _cmd_uncurry, help="uncurry an applicative system")
-    p.add_argument("file")
     p.add_argument(
         "--emit",
         choices=_EMIT_ORDER + ("all",),
@@ -380,7 +380,6 @@ def _parser() -> _Parser:
                    help="print applicative arities first")
 
     p = command("rewrite", _cmd_rewrite, help="rewrite a term")
-    p.add_argument("file")
     p.add_argument("--term", required=True)
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="full")
     group = p.add_mutually_exclusive_group()
@@ -390,13 +389,11 @@ def _parser() -> _Parser:
     p.add_argument("--fuel", type=int, default=10000)
 
     p = command("dh", _cmd_dh, help="derivation height of a term")
-    p.add_argument("file")
     p.add_argument("--term", required=True)
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="full")
     p.add_argument("--fuel", type=int, default=10000)
 
     p = command("dc", _cmd_dc, help="derivational complexity table")
-    p.add_argument("file")
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="full")
     p.add_argument("--relative-to", metavar="FILE2",
@@ -407,11 +404,9 @@ def _parser() -> _Parser:
                    " when every system is left-linear, which gives the same table")
 
     p = command("check-tmi", _cmd_check_tmi, help="check a matrix interpretation")
-    p.add_argument("file")
     p.add_argument("--tmi", required=True, metavar="TMIFILE")
 
     p = command("search-tmi", _cmd_search_tmi, help="search for an interpretation")
-    p.add_argument("file")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--max-coeff", type=int, required=True)
     p.add_argument(
@@ -421,7 +416,6 @@ def _parser() -> _Parser:
     )
 
     p = command("verify", _cmd_verify, help="run a property oracle")
-    p.add_argument("file")
     p.add_argument(
         "--property",
         required=True,

@@ -56,7 +56,7 @@ class Symbol:
 class Var:
     """A variable, identified by name."""
 
-    __slots__ = ("name", "size")
+    __slots__ = ("name",)
     _intern: dict = {}
 
     def __new__(cls, name: str) -> "Var":
@@ -66,7 +66,6 @@ class Var:
                 raise ValueError("variable name must be non-empty")
             t = object.__new__(cls)
             t.name = name
-            t.size = 1
             cls._intern[name] = t
         return t
 
@@ -80,7 +79,7 @@ class Var:
 class Fun:
     """A function symbol applied to exactly symbol.arity argument terms."""
 
-    __slots__ = ("symbol", "args", "size")
+    __slots__ = ("symbol", "args")
     _intern: dict = {}
 
     def __new__(cls, symbol: Symbol, args: Iterable["Term"] = ()) -> "Fun":
@@ -95,10 +94,6 @@ class Fun:
             t = object.__new__(cls)
             t.symbol = symbol
             t.args = args
-            size = 1
-            for a in args:
-                size += a.size
-            t.size = size
             cls._intern[key] = t
         return t
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import inf
 from operator import add, ge, mul
 from typing import Mapping
 
@@ -164,23 +165,17 @@ def _orientation_failure(
     return None
 
 
-def _monotonicity_violation(interp: MatrixInterp) -> tuple[Symbol, int] | None:
-    for sym in sorted(interp.entries):
-        mats, _ = interp.entries[sym]
-        for i, m in enumerate(mats):
-            if m[0][0] < 1:
-                return sym, i
-    return None
-
-
-def _triangularity_violation(interp: MatrixInterp) -> tuple[Symbol, int] | None:
-    for sym in sorted(interp.entries):
-        mats, _ = interp.entries[sym]
-        for i, m in enumerate(mats):
-            for r in range(interp.dim):
-                if m[r][r] > 1 or any(m[r][c] != 0 for c in range(r)):
-                    return sym, i
-    return None
+def shape_bounds(dim: int, cap: float) -> tuple[Matrix, Matrix]:
+    """The smallest and the largest coefficient matrix, entry by entry, of a
+    monotone triangular interpretation of dimension dim: the top-left entry
+    is 1, the other diagonal entries 0 or 1, the entries below the diagonal
+    0, and the entries above it at most cap (math.inf for no cap)."""
+    low = tuple(tuple(int(r == c == 0) for c in range(dim)) for r in range(dim))
+    high = tuple(
+        tuple(1 if r == c else cap if c > r else 0 for c in range(dim))
+        for r in range(dim)
+    )
+    return low, high
 
 
 @dataclass(frozen=True)
@@ -213,21 +208,18 @@ def check_tmi(interp: MatrixInterp, trs: Trs) -> TmiVerdict:
     A symbol occurring in the rules but absent from the interpretation raises
     MissingSymbolError; that is an input mismatch, not a refutation.
     """
-    bad = _monotonicity_violation(interp)
-    if bad is not None:
-        sym, i = bad
-        return TmiVerdict(
-            ok=False,
-            failure=f"not monotone: argument {i + 1} of {sym.name}/{sym.arity}"
-            " has top-left entry 0",
-        )
-    bad = _triangularity_violation(interp)
-    if bad is not None:
-        sym, i = bad
-        return TmiVerdict(
-            ok=False,
-            failure=f"not triangular: argument {i + 1} of {sym.name}/{sym.arity}",
-        )
+    # every matrix is tested against the lower bound before any against the
+    # upper one, symbols in sorted order and arguments in order
+    low, high = shape_bounds(interp.dim, inf)
+    for fits, failure in (
+        (lambda m: mat_ge(m, low),
+         "not monotone: argument {} of {} has top-left entry 0"),
+        (lambda m: mat_ge(high, m), "not triangular: argument {} of {}"),
+    ):
+        for sym in sorted(interp.entries):
+            for i, m in enumerate(interp.entries[sym][0], 1):
+                if not fits(m):
+                    return TmiVerdict(ok=False, failure=failure.format(i, sym))
     # every rule is decided before the first failure is reported, so a symbol
     # missing from the interpretation raises even after an unoriented rule
     entries, dim = interp.entries, interp.dim
@@ -268,14 +260,14 @@ def search_tmi(
 ) -> MatrixInterp | None:
     """Exhaustive search for an interpretation certifying trs.
 
-    Candidates are monotone and triangular by construction, with all entries
-    bounded by coeff_bound: below the diagonal 0, the top-left entry 1, the
-    other diagonal entries 0 or 1.  The search picks one free matrix or
-    vector entry at a time, in a fixed order, trying values in increasing
-    order.  Symbols come in an order that makes rules exact early; within a
-    symbol the last argument's matrix comes first, then the earlier
-    arguments' matrices, then the constant vector; within a matrix or vector
-    the entries come row by row.  After each choice every rule that uses the
+    Candidate matrices lie between shape_bounds(dim, coeff_bound), so they
+    are monotone and triangular by construction, and vector entries go up to
+    coeff_bound.  The search picks one free matrix or vector entry at a
+    time, in a fixed order, trying values in increasing order.  Symbols
+    come in an order that makes rules exact early; within a symbol the last
+    argument's matrix comes first, then the earlier arguments' matrices,
+    then the constant vector; within a matrix or vector the entries come row
+    by row.  After each choice every rule that uses the
     symbol is tested with the lhs at the largest and the rhs at the smallest
     value any completion can give (entries are naturals, so both sides grow
     with every entry), and the branch is cut as soon as one fails.
@@ -301,11 +293,7 @@ def search_tmi(
     # each symbol's matrices and vector as mutable rows, which the search
     # writes in place and _linearize reads; lows holds every open entry at its
     # smallest and highs at its largest value, and they agree on assigned ones
-    mat_low = [[int(r == c == 0) for c in range(dim)] for r in range(dim)]
-    mat_high = [
-        [1 if r == c else coeff_bound if c > r else 0 for c in range(dim)]
-        for r in range(dim)
-    ]
+    mat_low, mat_high = shape_bounds(dim, coeff_bound)
     lows: dict[Symbol, tuple[list, list[int]]] = {}
     highs: dict[Symbol, tuple[list, list[int]]] = {}
     # (rules using the symbol, low row, high row, column, largest value) per
@@ -313,8 +301,8 @@ def search_tmi(
     slots: list[tuple[list[Rule], list[int], list[int], int, int]] = []
     for sym in symbols:
         args = range(sym.arity)
-        lows[sym] = [[r[:] for r in mat_low] for _ in args], [0] * dim
-        highs[sym] = [[r[:] for r in mat_high] for _ in args], [coeff_bound] * dim
+        lows[sym] = [list(map(list, mat_low)) for _ in args], [0] * dim
+        highs[sym] = [list(map(list, mat_high)) for _ in args], [coeff_bound] * dim
         (low_mats, low_vec), (high_mats, high_vec) = lows[sym], highs[sym]
         rows = [row for a in reversed(args) for row in zip(low_mats[a], high_mats[a])]
         rows.append((low_vec, high_vec))

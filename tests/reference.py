@@ -58,7 +58,7 @@ class InvalidPositionError(ValueError):
 
 
 def positions(t: Term) -> tuple[Position, ...]:
-    """All positions of t in preorder; len(positions(t)) == t.size."""
+    """All positions of t in preorder; len(positions(t)) == size(t)."""
     out: list[Position] = []
     stack: list[tuple[Position, Term]] = [((), t)]
     while stack:
@@ -68,6 +68,11 @@ def positions(t: Term) -> tuple[Position, ...]:
             for i in range(len(s.args), 0, -1):
                 stack.append((p + (i,), s.args[i - 1]))
     return tuple(out)
+
+
+def size(t: Term) -> int:
+    """The number of subterm occurrences of t, the size that dc tables count."""
+    return sum(1 for _ in subterms(t))
 
 
 def canonical(t: Term) -> Term:
@@ -198,7 +203,7 @@ class Budget:
 
     def spend(self, t: Term) -> None:
         """Pay for visiting t: its size, so growing terms run out soon."""
-        self.left -= t.size
+        self.left -= size(t)
         if self.left < 0:
             raise BudgetExceeded
 

@@ -1,4 +1,5 @@
 import random
+from itertools import chain, product
 
 import pytest
 import samples
@@ -20,6 +21,7 @@ from atrs.tmi import (
     check_tmi,
     identity,
     search_tmi,
+    shape_bounds,
 )
 from atrs.uncurrying import transform
 from tmi_reference import (
@@ -113,26 +115,47 @@ def test_monotone_and_triangular_predicates():
         unary = MatrixInterp(2, {sym("f", 1): ((m,), (0, 0))})
         return check_tmi(unary, Trs([])).failure
 
-    assert failure(((0, 1), (0, 1))) == (
-        "not monotone: argument 1 of f/1 has top-left entry 0"
-    )
-    for m in (((1, 0), (1, 1)), ((2, 0), (0, 1)), ((1, 0), (0, 2))):
-        assert failure(m) == "not triangular: argument 1 of f/1"
+    # the checker puts no cap above the diagonal
     assert failure(((1, 3), (0, 1))) is None
 
+    # the search's candidates are exactly the matrices between the bounds
+    for dim in (1, 2, 3):
+        for cap in (1, 2):
+            low, high = shape_bounds(dim, cap)
+            entries = [range(lo, hi + 1) for lo, hi in zip(chain(*low), chain(*high))]
+            between = [
+                tuple(flat[r * dim : (r + 1) * dim] for r in range(dim))
+                for flat in product(*entries)
+            ]
+            assert between == _candidate_matrices(dim, cap)
 
-def test_check_tmi_reports_monotonicity_and_triangularity_failures():
-    f = sym("f", 1)
-    trs = Trs([Rule(Fun(f, (X,)), X)])
-    bad_mono = MatrixInterp(1, {f: ((((0,),),), (1,))})
-    verdict = check_tmi(bad_mono, trs)
-    assert not verdict.ok
-    assert "not monotone" in verdict.failure
 
-    bad_tri = MatrixInterp(2, {f: ((((1, 0), (1, 1)),), (1, 0))})
-    verdict = check_tmi(bad_tri, trs)
-    assert not verdict.ok
-    assert "not triangular" in verdict.failure
+@given(st.data())
+def test_check_tmi_reports_monotonicity_and_triangularity_failures(data):
+    dim, arity = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    row = st.tuples(*[st.integers(0, 2)] * dim)
+    mats = data.draw(st.tuples(*[st.tuples(*[row] * dim)] * arity))
+    f = sym("f", arity)
+    verdict = check_tmi(MatrixInterp(dim, {f: (mats, (0,) * dim)}), Trs([]))
+    # monotone: top-left entry at least 1; triangular: diagonal entries at
+    # most 1 and nothing below the diagonal; every matrix is tested for the
+    # first before any for the second
+    not_monotone = [i for i, m in enumerate(mats, 1) if m[0][0] == 0]
+    not_triangular = [
+        i for i, m in enumerate(mats, 1)
+        if any(m[r][r] > 1 or any(m[r][:r]) for r in range(dim))
+    ]
+    if not_monotone:
+        assert verdict.failure == (
+            f"not monotone: argument {not_monotone[0]} of f/{arity}"
+            " has top-left entry 0"
+        )
+    elif not_triangular:
+        assert verdict.failure == (
+            f"not triangular: argument {not_triangular[0]} of f/{arity}"
+        )
+    else:
+        assert verdict.ok
 
 
 def test_check_tmi_names_the_unoriented_rule():

@@ -8,6 +8,7 @@ from reference import (
     curry_nf,
     currying_system,
     is_normal_form,
+    size,
 )
 from samples import canonical_rules
 
@@ -379,7 +380,7 @@ def test_curry_back_at_most_doubles_size():
     res = transform(samples.system("addition"))
     ctx = res.context
     for t in enumerate_terms(res.combined.signature, 5):
-        assert curry_back(ctx, t).size <= 2 * t.size
+        assert size(curry_back(ctx, t)) <= 2 * size(t)
 
 
 def _transformed(trs):
