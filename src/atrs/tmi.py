@@ -13,10 +13,10 @@ Arithmetic is exact: plain Python integers, no overflow, no rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from math import inf
 from operator import add, ge, mul
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .terms import Rule, Symbol, Term, Trs, Var, term_symbols
 
@@ -133,8 +133,7 @@ def _linearize(entries: Mapping[Symbol, SymbolInterp], dim: int, t: Term) -> Lin
             coeffs[name] = mat_add(coeffs[name], m) if name in coeffs else m
             continue
         sub_coeffs, sub_const = _linearize(entries, dim, arg)
-        # the products m*sub, inline and as list comprehensions: this is the
-        # innermost loop of search_tmi, and helper calls and generators cost
+        # the products m*sub
         const = tuple(map(add, const, [sum(map(mul, row, sub_const)) for row in m]))
         for name, c in sub_coeffs.items():
             cols = tuple(zip(*c))
@@ -144,18 +143,13 @@ def _linearize(entries: Mapping[Symbol, SymbolInterp], dim: int, t: Term) -> Lin
 
 
 def _orientation_failure(
-    high: Mapping[Symbol, SymbolInterp], low: Mapping[Symbol, SymbolInterp],
-    dim: int, rule: Rule,
+    entries: Mapping[Symbol, SymbolInterp], dim: int, rule: Rule
 ) -> str | None:
-    """Why [lhs] under high does not lie strictly above [rhs] under low for
-    every assignment of naturals, or None when it does.
-
-    check_tmi passes one interpretation as both; search_tmi passes the
-    largest and the smallest completion of a partial one.  The constant
-    parts are compared first, then the coefficients in variable name order.
-    """
-    left, left_const = _linearize(high, dim, rule.lhs)
-    right, right_const = _linearize(low, dim, rule.rhs)
+    """Why [lhs] does not lie strictly above [rhs] for every assignment of
+    naturals, or None when it does.  The constant parts are compared first,
+    then the coefficients in variable name order."""
+    left, left_const = _linearize(entries, dim, rule.lhs)
+    right, right_const = _linearize(entries, dim, rule.rhs)
     if not vec_strict_gt(left_const, right_const):
         return "constant part does not decrease strictly"
     zero = zero_matrix(dim)
@@ -223,7 +217,7 @@ def check_tmi(interp: MatrixInterp, trs: Trs) -> TmiVerdict:
     # every rule is decided before the first failure is reported, so a symbol
     # missing from the interpretation raises even after an unoriented rule
     entries, dim = interp.entries, interp.dim
-    failures = [_orientation_failure(entries, entries, dim, r) for r in trs.rules]
+    failures = [_orientation_failure(entries, dim, r) for r in trs.rules]
     for i, detail in enumerate(failures):
         if detail is not None:
             return TmiVerdict(
@@ -255,6 +249,147 @@ def _search_schedule(trs: Trs) -> list[Symbol]:
     return symbols
 
 
+#: One symbol's matrices, as lists of rows, and its vector, all mutable lists.
+_Rows = tuple[list[list[list[int]]], list[int]]
+
+#: A scalar in generated source: an int literal, or the text of a local name
+#: or of one entry read from a row.
+_Value = int | str
+
+#: One symbol's matrices and vector as values.
+_Values = tuple[list[list[list[_Value]]], list[_Value]]
+
+
+def _times(a: _Value, b: _Value) -> _Value:
+    """The product a*b, with a literal 0 or 1 folded away."""
+    if a == 0 or b == 0:
+        return 0
+    if a == 1:
+        return b
+    if b == 1:
+        return a
+    if type(a) is int and type(b) is int:
+        return a * b
+    return f"{a}*{b}"
+
+
+def _comparison(a: _Value, op: str, b: _Value) -> bool | str:
+    """a op b as source text, or its truth when that is known already: both
+    sides are literals, or b is a literal 0 under >= (values are naturals)."""
+    if type(a) is int and type(b) is int:
+        return a > b if op == ">" else a >= b
+    if op == ">=" and b == 0:
+        return True
+    return f"{a} {op} {b}"
+
+
+def _test_source(
+    name: str, rule: Rule, dim: int,
+    high: Mapping[Symbol, _Values], low: Mapping[Symbol, _Values],
+) -> str:
+    """The source of the function name(), the compiled test of one rule."""
+    # the statements that compute the constant part (key None) and the
+    # coefficients of each variable (key: its name)
+    sections: dict[str | None, list[str]] = {}
+    fresh = count(1)
+    unit, zero = identity(dim), zero_matrix(dim)
+
+    def total(section: str | None, terms: list[_Value]) -> _Value:
+        """The sum of terms, through a new local unless it folds to a
+        literal or to a single local or entry."""
+        parts = [t for t in terms if type(t) is str]
+        literal = sum(t for t in terms if type(t) is int)
+        if not parts:
+            return literal
+        if literal:
+            parts.append(str(literal))
+        if len(parts) == 1 and "*" not in parts[0]:
+            return parts[0]
+        local = f"v{next(fresh)}"
+        sections.setdefault(section, []).append(f"{local} = {' + '.join(parts)}")
+        return local
+
+    def linear(t: Term, interp: Mapping[Symbol, _Values]):
+        """[t] as values, shaped like _linearize's result."""
+        if isinstance(t, Var):
+            return {t.name: unit}, [0] * dim
+        mats, const = interp[t.symbol]
+        coeffs: dict[str, list[list[_Value]]] = {}
+        for m, arg in zip(mats, t.args):
+            sub_coeffs, sub_const = linear(arg, interp)
+            const = [total(None, [const[r], *map(_times, m[r], sub_const)])
+                     for r in range(dim)]
+            for x, c in sub_coeffs.items():
+                acc = coeffs.get(x, zero)
+                coeffs[x] = [[total(x, [acc[r][j], *map(_times, m[r], col)])
+                              for j, col in enumerate(zip(*c))] for r in range(dim)]
+        return coeffs, const
+
+    left, left_const = linear(rule.lhs, high)
+    right, right_const = linear(rule.rhs, low)
+    checks = {None: [(left_const[0], ">", right_const[0])]
+              + [(a, ">=", b) for a, b in zip(left_const[1:], right_const[1:])]}
+    # a variable only on the lhs has a coefficient >= 0 on the rhs: no check
+    for x, c in right.items():
+        checks[x] = [(a, ">=", b) for a, b in zip(chain(*left.get(x, zero)), chain(*c))]
+    lines: list[str] = []
+    for section, comparisons in checks.items():
+        known = [_comparison(*c) for c in comparisons]
+        if False in known:
+            lines = ["return False"]
+            break
+        conditions = [k for k in known if k is not True]
+        if conditions:
+            lines += sections.get(section, [])
+            lines.append(f"if not ({' and '.join(conditions)}): return False")
+    else:
+        lines.append("return True")
+    return f"def {name}():\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _orientation_tests(
+    rules: Sequence[Rule], dim: int,
+    highs: Mapping[Symbol, _Rows], lows: Mapping[Symbol, _Rows],
+) -> list[Callable[[], bool]]:
+    """One compiled test per rule: does [lhs] under highs lie strictly above
+    [rhs] under lows for every assignment of naturals?  It is the question
+    _orientation_failure answers, asked of two interpretations.
+
+    A test reads the rows of highs and lows in place each time it runs.  An
+    entry on which highs and lows agree now is a literal in its source, so
+    it reads only the entries that the search leaves open.  Its body is
+    straight-line scalar arithmetic, products by a literal 0 or 1 dropped:
+    the constant part first, then the coefficients of each variable that
+    occurs on the rhs, each part checked as soon as it is known.  The source
+    names a symbol's rows by the symbol's position in highs and a test by
+    its rule's index, so no text of the input enters it.
+    """
+    namespace: dict[str, list[int]] = {}
+
+    def read(name: str, row: list[int], high: list[int], low: list[int]) -> list[_Value]:
+        namespace[name] = row
+        return [h if h == l else f"{name}[{c}]" for c, (h, l) in enumerate(zip(high, low))]
+
+    under_high: dict[Symbol, _Values] = {}
+    under_low: dict[Symbol, _Values] = {}
+    for i, sym in enumerate(highs):
+        (high_mats, high_vec), (low_mats, low_vec) = highs[sym], lows[sym]
+        for side, values, (mats, vec) in (
+            ("h", under_high, highs[sym]), ("l", under_low, lows[sym])
+        ):
+            values[sym] = [
+                [read(f"{side}{i}_{a}_{r}", mats[a][r], high_mats[a][r], low_mats[a][r])
+                 for r in range(dim)]
+                for a in range(sym.arity)
+            ], read(f"{side}{i}_v", vec, high_vec, low_vec)
+    source = "".join(
+        _test_source(f"t{index}", rule, dim, under_high, under_low)
+        for index, rule in enumerate(rules)
+    )
+    exec(compile(source, "<orientation tests>", "exec"), namespace)
+    return [namespace[f"t{index}"] for index in range(len(rules))]
+
+
 def search_tmi(
     trs: Trs, dim: int, coeff_bound: int, budget: int
 ) -> MatrixInterp | None:
@@ -267,14 +402,19 @@ def search_tmi(
     come in an order that makes rules exact early; within a symbol the last
     argument's matrix comes first, then the earlier arguments' matrices,
     then the constant vector; within a matrix or vector the entries come row
-    by row.  After each choice every rule that uses the
-    symbol is tested with the lhs at the largest and the rhs at the smallest
-    value any completion can give (entries are naturals, so both sides grow
-    with every entry), and the branch is cut as soon as one fails.
+    by row.  After each choice every rule that uses the symbol is tested
+    with the lhs at the largest and the rhs at the smallest value any
+    completion can give (entries are naturals, so both sides grow with every
+    entry), and the branch is cut as soon as one fails.  These tests are
+    compiled once per search by _orientation_tests, one straight-line
+    function per rule that reads the open entries where the search writes
+    them.
 
     The budget counts entry choices: each value tried for one entry, in this
     fixed order, is one choice.  Returns the first certificate in candidate
-    order, re-checked by check_tmi, or None once the whole space is refuted.
+    order, re-checked by check_tmi with the interpreted _orientation_failure,
+    which shares no code with the compiled tests, or None once the whole
+    space is refuted.
     Raises SearchBudgetExhausted when more than budget entry choices would be
     tried, and RuntimeError if a found interpretation fails its check.
     """
@@ -285,26 +425,34 @@ def search_tmi(
     if budget < 1:
         raise ValueError("budget must be positive")
     symbols = _search_schedule(trs)
-    touching: dict[Symbol, list[Rule]] = {sym: [] for sym in symbols}
-    for rule in trs.rules:
-        for sym in term_symbols(rule.lhs) | term_symbols(rule.rhs):
-            touching[sym].append(rule)
-
     # each symbol's matrices and vector as mutable rows, which the search
-    # writes in place and _linearize reads; lows holds every open entry at its
-    # smallest and highs at its largest value, and they agree on assigned ones
+    # writes in place and the compiled tests read; lows holds every open entry
+    # at its smallest and highs at its largest value, and they agree on
+    # assigned ones
     mat_low, mat_high = shape_bounds(dim, coeff_bound)
-    lows: dict[Symbol, tuple[list, list[int]]] = {}
-    highs: dict[Symbol, tuple[list, list[int]]] = {}
-    # (rules using the symbol, low row, high row, column, largest value) per
-    # open entry, in branching order
-    slots: list[tuple[list[Rule], list[int], list[int], int, int]] = []
+    lows: dict[Symbol, _Rows] = {
+        sym: ([list(map(list, mat_low)) for _ in range(sym.arity)], [0] * dim)
+        for sym in symbols
+    }
+    highs: dict[Symbol, _Rows] = {
+        sym: ([list(map(list, mat_high)) for _ in range(sym.arity)],
+              [coeff_bound] * dim)
+        for sym in symbols
+    }
+    touching: dict[Symbol, list[Callable[[], bool]]] = {sym: [] for sym in symbols}
+    for rule, test in zip(trs.rules, _orientation_tests(trs.rules, dim, highs, lows)):
+        for sym in term_symbols(rule.lhs) | term_symbols(rule.rhs):
+            touching[sym].append(test)
+
+    # (tests of the rules using the symbol, low row, high row, column, largest
+    # value) per open entry, in branching order
+    slots: list[tuple[list[Callable[[], bool]], list[int], list[int], int, int]] = []
     for sym in symbols:
-        args = range(sym.arity)
-        lows[sym] = [list(map(list, mat_low)) for _ in args], [0] * dim
-        highs[sym] = [list(map(list, mat_high)) for _ in args], [coeff_bound] * dim
         (low_mats, low_vec), (high_mats, high_vec) = lows[sym], highs[sym]
-        rows = [row for a in reversed(args) for row in zip(low_mats[a], high_mats[a])]
+        rows = [
+            row for a in reversed(range(sym.arity))
+            for row in zip(low_mats[a], high_mats[a])
+        ]
         rows.append((low_vec, high_vec))
         slots.extend(
             (touching[sym], lo, hi, c, hi[c])
@@ -317,7 +465,7 @@ def search_tmi(
     attempts = 0
     k = 0
     while k < len(slots):
-        rules, low, high, c, top = slots[k]
+        tests, low, high, c, top = slots[k]
         value = chosen[k] + 1
         if value > top:
             chosen[k] = -1
@@ -330,7 +478,10 @@ def search_tmi(
         if attempts > budget:
             raise SearchBudgetExhausted(attempts)
         chosen[k] = low[c] = high[c] = value
-        if all(_orientation_failure(highs, lows, dim, r) is None for r in rules):
+        for test in tests:
+            if not test():
+                break
+        else:
             k += 1
 
     found = MatrixInterp(dim, {

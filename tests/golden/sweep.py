@@ -15,8 +15,12 @@ directory), tests/golden/inputs/*.trs and one more non-left-linear system:
   1000 and `--max-vars` 0-2;
 - `dc` under each strategy and relative `dc`, at fuels 2, 3, 10 and 1000 and
   `--max-vars` 0-2;
-- the four simulation oracles at fuels 1, 3 and 1000, and `search-tmi` at
-  dimensions 1 and 2 with budgets 50 and 20000.
+- the four simulation oracles at fuels 1, 3 and 1000;
+- `search-tmi` at dimensions 1-3, coefficients up to 1 and up to 2, and
+  budgets 1, 50 and 20000;
+- `check-tmi` of every .tmi under trs/ and tests/golden/inputs/ against
+  every system: a system it covers runs the checker to its verdict, any
+  other stops at the first symbol it lacks.
 
 It takes some minutes.  Exit status 0 when no run differs, 1 otherwise.
 """
@@ -84,9 +88,13 @@ def grid(emits: dict[str, str], extra: list[str]) -> list[str]:
         for fuel in (1, 3, 1000)
     ]
     lines += [
-        f"search-tmi {q(f)} --dim {d} --max-coeff 1 --budget {b}"
-        for f in systems for d in (1, 2) for b in (50, 20000)
+        f"search-tmi {q(f)} --dim {d} --max-coeff {c} --budget {b}"
+        for f in systems for d in (1, 2, 3) for c in (1, 2) for b in (1, 50, 20000)
     ]
+    tmis = sorted(
+        str(p.relative_to(ROOT))
+        for p in [*(ROOT / "trs").glob("*.tmi"), *(HERE / "inputs").glob("*.tmi")])
+    lines += [f"check-tmi {q(f)} --tmi {q(t)}" for t in tmis for f in systems]
     return lines
 
 

@@ -18,6 +18,7 @@ from atrs.tmi import (
     SearchBudgetExhausted,
     _linearize,
     _orientation_failure,
+    _orientation_tests,
     check_tmi,
     identity,
     search_tmi,
@@ -388,19 +389,104 @@ def _candidate_interpretations(draw, trs):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_linearize_and_orientation_equal_the_reference(data):
-    # search_tmi passes distinct interpretations for the two sides: the
-    # largest completion for the lhs and the smallest for the rhs
     trs = data.draw(_small_systems())
     dim = data.draw(st.integers(1, 3))
-    high = data.draw(_candidate_entries(trs.signature, dim, 3))
-    low = data.draw(_candidate_entries(trs.signature, dim, 3))
-    assume(high != low)
+    entries = data.draw(_candidate_entries(trs.signature, dim, 3))
     for rule in trs.rules:
-        for entries in (high, low):
-            for t in (rule.lhs, rule.rhs):
-                assert _linearize(entries, dim, t) == linearize(entries, dim, t)
-        assert _orientation_failure(high, low, dim, rule) == orientation_failure(
-            high, low, dim, rule)
+        for t in (rule.lhs, rule.rhs):
+            assert _linearize(entries, dim, t) == linearize(entries, dim, t)
+        assert _orientation_failure(entries, dim, rule) == orientation_failure(
+            entries, entries, dim, rule)
+
+
+def _rows(entries):
+    """The search's mutable rows of an interpretation's entries."""
+    return {
+        f: ([list(map(list, m)) for m in mats], list(vec))
+        for f, (mats, vec) in entries.items()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compiled_orientation_tests_equal_the_reference(data):
+    # compiled once over rows at the search's bounds, the tests read what is
+    # written into the rows afterwards: the largest completion of a partial
+    # interpretation for the lhs and the smallest for the rhs, drawn apart
+    trs = data.draw(_small_systems())
+    dim = data.draw(st.integers(1, 3))
+    mat_low, mat_high = shape_bounds(dim, 3)
+    highs = _rows({f: ((mat_high,) * f.arity, (3,) * dim) for f in sorted(trs.signature)})
+    lows = _rows({f: ((mat_low,) * f.arity, (0,) * dim) for f in sorted(trs.signature)})
+    tests = _orientation_tests(trs.rules, dim, highs, lows)
+    for _ in range(3):
+        high = data.draw(_candidate_entries(trs.signature, dim, 3))
+        low = data.draw(_candidate_entries(trs.signature, dim, 3))
+        for rows, entries in ((highs, high), (lows, low)):
+            for f, (mats, vec) in entries.items():
+                for row, values in zip(chain(*rows[f][0], [rows[f][1]]), chain(*mats, [vec])):
+                    row[:] = values
+        assert [test() for test in tests] == [
+            orientation_failure(high, low, dim, rule) is None for rule in trs.rules]
+
+
+def _renamed(trs):
+    """trs with every symbol and variable renamed to a name that is no Python
+    name.  A common prefix, and a suffix below every other character the
+    parser accepts in a name, keep the names' order and so the search's."""
+
+    def rename(t):
+        if isinstance(t, Var):
+            return Var(f"x'.{t.name}!")
+        return Fun(Symbol(f"f.g+{t.symbol.name}!", t.symbol.arity),
+                   tuple(map(rename, t.args)))
+
+    return Trs([Rule(rename(r.lhs), rename(r.rhs)) for r in trs.rules])
+
+
+@pytest.mark.parametrize(
+    "path, dim, coeff_bound, choices",
+    [
+        ("trs/add_uncurried.trs", 2, 2, 851),
+        ("trs/add_uncurried.trs", 3, 1, 8306),
+        ("tests/golden/inputs/double_uncurried.trs", 2, 1, 276),
+    ],
+    ids=["addition-d2-c2", "addition-d3-c1", "doubling-d2-c1"],
+)
+def test_input_names_never_reach_the_compiled_source(
+    monkeypatch, path, dim, coeff_bound, choices
+):
+    from atrs import tmi
+    from atrs.parsing import parse_trs
+
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(tmi, "compile", spy, raising=False)
+    trs = parse_trs((samples.TRS.parent / path).read_text(encoding="utf-8")).trs
+    renamed = _renamed(trs)
+    found = []
+    for system in (trs, renamed):
+        # the search needs exactly as many entry choices under either name
+        with pytest.raises(SearchBudgetExhausted) as err:
+            search_tmi(system, dim, coeff_bound, choices - 1)
+        assert err.value.attempts == choices
+        found.append(search_tmi(system, dim, coeff_bound, choices))
+    original, under_new_names = found
+    if original is None:
+        assert under_new_names is None
+    else:
+        assert under_new_names == MatrixInterp(dim, {
+            Symbol(f"f.g+{f.name}!", f.arity): entry
+            for f, entry in original.entries.items()
+        })
+    names = {f.name for f in renamed.signature} | {
+        v for r in renamed.rules for v in variables(r.lhs)}
+    assert sources and not any(name in s for name in names for s in sources)
+    assert not any(c in s for c in "'.!#" for s in sources)
 
 
 @settings(max_examples=200, deadline=None)
