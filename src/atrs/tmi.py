@@ -133,7 +133,6 @@ def _linearize(entries: Mapping[Symbol, SymbolInterp], dim: int, t: Term) -> Lin
             coeffs[name] = mat_add(coeffs[name], m) if name in coeffs else m
             continue
         sub_coeffs, sub_const = _linearize(entries, dim, arg)
-        # the products m*sub
         const = tuple(map(add, const, [sum(map(mul, row, sub_const)) for row in m]))
         for name, c in sub_coeffs.items():
             cols = tuple(zip(*c))

@@ -412,7 +412,8 @@ def _rows(entries):
 def test_compiled_orientation_tests_equal_the_reference(data):
     # compiled once over rows at the search's bounds, the tests read what is
     # written into the rows afterwards: the largest completion of a partial
-    # interpretation for the lhs and the smallest for the rhs, drawn apart
+    # interpretation for the lhs and the smallest for the rhs, drawn
+    # independently
     trs = data.draw(_small_systems())
     dim = data.draw(st.integers(1, 3))
     mat_low, mat_high = shape_bounds(dim, 3)
@@ -430,16 +431,21 @@ def test_compiled_orientation_tests_equal_the_reference(data):
             orientation_failure(high, low, dim, rule) is None for rule in trs.rules]
 
 
+def _renamed_symbol(f):
+    """f under a name that is no Python name.  A common prefix, and a suffix
+    below every other character the parser accepts in a name, keep the
+    names' order and so the search's."""
+    return Symbol(f"f.g+{f.name}!", f.arity)
+
+
 def _renamed(trs):
     """trs with every symbol and variable renamed to a name that is no Python
-    name.  A common prefix, and a suffix below every other character the
-    parser accepts in a name, keep the names' order and so the search's."""
+    name."""
 
     def rename(t):
         if isinstance(t, Var):
             return Var(f"x'.{t.name}!")
-        return Fun(Symbol(f"f.g+{t.symbol.name}!", t.symbol.arity),
-                   tuple(map(rename, t.args)))
+        return Fun(_renamed_symbol(t.symbol), tuple(map(rename, t.args)))
 
     return Trs([Rule(rename(r.lhs), rename(r.rhs)) for r in trs.rules])
 
@@ -480,9 +486,7 @@ def test_input_names_never_reach_the_compiled_source(
         assert under_new_names is None
     else:
         assert under_new_names == MatrixInterp(dim, {
-            Symbol(f"f.g+{f.name}!", f.arity): entry
-            for f, entry in original.entries.items()
-        })
+            _renamed_symbol(f): entry for f, entry in original.entries.items()})
     names = {f.name for f in renamed.signature} | {
         v for r in renamed.rules for v in variables(r.lhs)}
     assert sources and not any(name in s for name in names for s in sources)
