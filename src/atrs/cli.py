@@ -271,7 +271,8 @@ def _cmd_check_tmi(args) -> int:
         lines = ["monotone: yes", "triangular: yes"]
         for i, rule in enumerate(problem.trs.rules):
             lines.append(f"rule {i + 1}: {format_rule(rule)}   strictly oriented")
-        lines.append(f"certificate: UpperBound({cert.degree})")
+        # the kind "upper-bound" prints as UpperBound
+        lines.append(f"certificate: {cert.kind.title().replace('-', '')}({cert.degree})")
         lines.append(cert.note)
         data = {
             "certificate": {"kind": cert.kind, "degree": cert.degree},

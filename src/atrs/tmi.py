@@ -248,15 +248,51 @@ def _search_schedule(trs: Trs) -> list[Symbol]:
     return symbols
 
 
-#: One symbol's matrices, as lists of rows, and its vector, all mutable lists.
-_Rows = tuple[list[list[list[int]]], list[int]]
+class _Slot(int):
+    """The number of an entry the search leaves open: its index in hi and lo."""
 
-#: A scalar in generated source: an int literal, or the text of a local name
-#: or of one entry read from a row.
+
+#: A scalar in generated source: an int literal, or the text of a local or of
+#: an entry of hi or lo.
 _Value = int | str
 
-#: One symbol's matrices and vector as values.
-_Values = tuple[list[list[list[_Value]]], list[_Value]]
+
+def _slot_table(
+    symbols: Sequence[Symbol], dim: int, coeff_bound: int
+) -> tuple[dict[Symbol, SymbolInterp], list[int], list[Symbol]]:
+    """The search's shape of each symbol, and the cap top[k] and the symbol
+    owner[k] of each slot k.  A shape has an int where the bounds fix the
+    entry and a _Slot where they leave it open.  Slots are numbered in
+    branching order: symbols in the order given; within a symbol the last
+    argument's matrix first, then the earlier ones, then the vector; row by
+    row inside each."""
+    row_bounds = list(zip(*shape_bounds(dim, coeff_bound)))
+    top: list[int] = []
+    owner: list[Symbol] = []
+
+    def entry(low: int, high: int) -> int:
+        if low == high:
+            return low
+        top.append(high)
+        return _Slot(len(top) - 1)
+
+    shape: dict[Symbol, SymbolInterp] = {}
+    for sym in symbols:
+        mats = [tuple(tuple(map(entry, low, high)) for low, high in row_bounds)
+                for _ in range(sym.arity)]
+        shape[sym] = tuple(reversed(mats)), tuple(entry(0, coeff_bound) for _ in range(dim))
+        owner += [sym] * (len(top) - len(owner))
+    return shape, top, owner
+
+
+def _filled(shape: SymbolInterp, slot: Callable[[int], _Value]) -> SymbolInterp:
+    """shape with slot(k) in place of each slot k."""
+    def entry(e: int) -> _Value:
+        return slot(e) if type(e) is _Slot else e
+
+    mats, vec = shape
+    return (tuple(tuple(tuple(map(entry, row)) for row in m) for m in mats),
+            tuple(map(entry, vec)))
 
 
 def _times(a: _Value, b: _Value) -> _Value:
@@ -283,10 +319,10 @@ def _comparison(a: _Value, op: str, b: _Value) -> bool | str:
 
 
 def _test_source(
-    name: str, rule: Rule, dim: int,
-    high: Mapping[Symbol, _Values], low: Mapping[Symbol, _Values],
+    name: str, rule: Rule, dim: int, shape: Mapping[Symbol, SymbolInterp]
 ) -> str:
-    """The source of the function name(), the compiled test of one rule."""
+    """The source of the function name(), the compiled test of one rule: the
+    lhs reads its open entries from hi and the rhs from lo."""
     # the statements that compute the constant part (key None) and the
     # coefficients of each variable (key: its name)
     sections: dict[str | None, list[str]] = {}
@@ -308,14 +344,14 @@ def _test_source(
         sections.setdefault(section, []).append(f"{local} = {' + '.join(parts)}")
         return local
 
-    def linear(t: Term, interp: Mapping[Symbol, _Values]):
+    def linear(t: Term, side: str):
         """[t] as values, shaped like _linearize's result."""
         if isinstance(t, Var):
             return {t.name: unit}, [0] * dim
-        mats, const = interp[t.symbol]
+        mats, const = _filled(shape[t.symbol], lambda k: f"{side}[{k}]")
         coeffs: dict[str, list[list[_Value]]] = {}
         for m, arg in zip(mats, t.args):
-            sub_coeffs, sub_const = linear(arg, interp)
+            sub_coeffs, sub_const = linear(arg, side)
             const = [total(None, [const[r], *map(_times, m[r], sub_const)])
                      for r in range(dim)]
             for x, c in sub_coeffs.items():
@@ -324,8 +360,8 @@ def _test_source(
                               for j, col in enumerate(zip(*c))] for r in range(dim)]
         return coeffs, const
 
-    left, left_const = linear(rule.lhs, high)
-    right, right_const = linear(rule.rhs, low)
+    left, left_const = linear(rule.lhs, "hi")
+    right, right_const = linear(rule.rhs, "lo")
     checks = {None: [(left_const[0], ">", right_const[0])]
               + [(a, ">=", b) for a, b in zip(left_const[1:], right_const[1:])]}
     # a variable only on the lhs has a coefficient >= 0 on the rhs: no check
@@ -347,44 +383,25 @@ def _test_source(
 
 
 def _orientation_tests(
-    rules: Sequence[Rule], dim: int,
-    highs: Mapping[Symbol, _Rows], lows: Mapping[Symbol, _Rows],
+    rules: Sequence[Rule], dim: int, shape: Mapping[Symbol, SymbolInterp],
+    hi: list[int], lo: list[int],
 ) -> list[Callable[[], bool]]:
-    """One compiled test per rule: does [lhs] under highs lie strictly above
-    [rhs] under lows for every assignment of naturals?  It is the question
-    _orientation_failure answers, asked of two interpretations.
+    """One compiled test per rule: does [lhs] lie strictly above [rhs] for
+    every assignment of naturals, with each open entry k at hi[k] in the lhs
+    and at lo[k] in the rhs?  It is the question _orientation_failure
+    answers, asked of two interpretations.
 
-    A test reads the rows of highs and lows in place each time it runs.  An
-    entry on which highs and lows agree now is a literal in its source, so
-    it reads only the entries that the search leaves open.  Its body is
-    straight-line scalar arithmetic, products by a literal 0 or 1 dropped:
-    the constant part first, then the coefficients of each variable that
-    occurs on the rhs, each part checked as soon as it is known.  The source
-    names a symbol's rows by the symbol's position in highs and a test by
-    its rule's index, so no text of the input enters it.
+    A test reads hi and lo each time it runs; an entry the shape fixes is a
+    literal in its source.  Its body is straight-line scalar arithmetic,
+    products by a literal 0 or 1 dropped: the constant part first, then the
+    coefficients of each variable that occurs on the rhs, each part checked
+    as soon as it is known.  The source names entries by slot number and a
+    test by its rule's index, so no text of the input enters it.
     """
-    namespace: dict[str, list[int]] = {}
-
-    def read(name: str, row: list[int], high: list[int], low: list[int]) -> list[_Value]:
-        namespace[name] = row
-        return [h if h == l else f"{name}[{c}]" for c, (h, l) in enumerate(zip(high, low))]
-
-    under_high: dict[Symbol, _Values] = {}
-    under_low: dict[Symbol, _Values] = {}
-    for i, sym in enumerate(highs):
-        (high_mats, high_vec), (low_mats, low_vec) = highs[sym], lows[sym]
-        for side, values, (mats, vec) in (
-            ("h", under_high, highs[sym]), ("l", under_low, lows[sym])
-        ):
-            values[sym] = [
-                [read(f"{side}{i}_{a}_{r}", mats[a][r], high_mats[a][r], low_mats[a][r])
-                 for r in range(dim)]
-                for a in range(sym.arity)
-            ], read(f"{side}{i}_v", vec, high_vec, low_vec)
     source = "".join(
-        _test_source(f"t{index}", rule, dim, under_high, under_low)
-        for index, rule in enumerate(rules)
+        _test_source(f"t{index}", rule, dim, shape) for index, rule in enumerate(rules)
     )
+    namespace = {"hi": hi, "lo": lo}
     exec(compile(source, "<orientation tests>", "exec"), namespace)
     return [namespace[f"t{index}"] for index in range(len(rules))]
 
@@ -396,18 +413,13 @@ def search_tmi(
 
     Candidate matrices lie between shape_bounds(dim, coeff_bound), so they
     are monotone and triangular by construction, and vector entries go up to
-    coeff_bound.  The search picks one free matrix or vector entry at a
-    time, in a fixed order, trying values in increasing order.  Symbols
-    come in an order that makes rules exact early; within a symbol the last
-    argument's matrix comes first, then the earlier arguments' matrices,
-    then the constant vector; within a matrix or vector the entries come row
-    by row.  After each choice every rule that uses the symbol is tested
-    with the lhs at the largest and the rhs at the smallest value any
-    completion can give (entries are naturals, so both sides grow with every
-    entry), and the branch is cut as soon as one fails.  These tests are
-    compiled once per search by _orientation_tests, one straight-line
-    function per rule that reads the open entries where the search writes
-    them.
+    coeff_bound.  The search assigns the slots of _slot_table one at a time,
+    in order, trying values in increasing order; hi[k] and lo[k] hold the
+    largest and the smallest value any completion can give slot k.  After
+    each choice the tests compiled by _orientation_tests check every rule
+    that uses the slot's owner, the lhs under hi and the rhs under lo
+    (entries are naturals, so both sides grow with every entry), and the
+    branch is cut as soon as one fails.
 
     The budget counts entry choices: each value tried for one entry, in this
     fixed order, is one choice.  Returns the first certificate in candidate
@@ -424,51 +436,20 @@ def search_tmi(
     if budget < 1:
         raise ValueError("budget must be positive")
     symbols = _search_schedule(trs)
-    # each symbol's matrices and vector as mutable rows, which the search
-    # writes in place and the compiled tests read; lows holds every open entry
-    # at its smallest and highs at its largest value, and they agree on
-    # assigned ones
-    mat_low, mat_high = shape_bounds(dim, coeff_bound)
-    lows: dict[Symbol, _Rows] = {
-        sym: ([list(map(list, mat_low)) for _ in range(sym.arity)], [0] * dim)
-        for sym in symbols
-    }
-    highs: dict[Symbol, _Rows] = {
-        sym: ([list(map(list, mat_high)) for _ in range(sym.arity)],
-              [coeff_bound] * dim)
-        for sym in symbols
-    }
+    shape, top, owner = _slot_table(symbols, dim, coeff_bound)
+    # chosen[k] is the value of slot k, or -1 while it is open
+    hi, lo, chosen = list(top), [0] * len(top), [-1] * len(top)
     touching: dict[Symbol, list[Callable[[], bool]]] = {sym: [] for sym in symbols}
-    for rule, test in zip(trs.rules, _orientation_tests(trs.rules, dim, highs, lows)):
+    for rule, test in zip(trs.rules, _orientation_tests(trs.rules, dim, shape, hi, lo)):
         for sym in term_symbols(rule.lhs) | term_symbols(rule.rhs):
             touching[sym].append(test)
 
-    # (tests of the rules using the symbol, low row, high row, column, largest
-    # value) per open entry, in branching order
-    slots: list[tuple[list[Callable[[], bool]], list[int], list[int], int, int]] = []
-    for sym in symbols:
-        (low_mats, low_vec), (high_mats, high_vec) = lows[sym], highs[sym]
-        rows = [
-            row for a in reversed(range(sym.arity))
-            for row in zip(low_mats[a], high_mats[a])
-        ]
-        rows.append((low_vec, high_vec))
-        slots.extend(
-            (touching[sym], lo, hi, c, hi[c])
-            for lo, hi in rows for c in range(dim) if hi[c] > lo[c]
-        )
-
-    # depth-first over slots without recursion: chosen[k] is the value of
-    # slots[k], or -1 while it is open
-    chosen = [-1] * len(slots)
-    attempts = 0
-    k = 0
-    while k < len(slots):
-        tests, low, high, c, top = slots[k]
+    # depth-first over the slots without recursion
+    attempts = k = 0
+    while k < len(top):
         value = chosen[k] + 1
-        if value > top:
-            chosen[k] = -1
-            low[c], high[c] = 0, top
+        if value > top[k]:
+            chosen[k], lo[k], hi[k] = -1, 0, top[k]
             k -= 1
             if k < 0:
                 return None
@@ -476,17 +457,15 @@ def search_tmi(
         attempts += 1
         if attempts > budget:
             raise SearchBudgetExhausted(attempts)
-        chosen[k] = low[c] = high[c] = value
-        for test in tests:
+        chosen[k] = lo[k] = hi[k] = value
+        for test in touching[owner[k]]:
             if not test():
                 break
         else:
             k += 1
 
     found = MatrixInterp(dim, {
-        sym: (tuple(tuple(map(tuple, m)) for m in mats), tuple(vec))
-        for sym, (mats, vec) in lows.items()
-    })
+        sym: _filled(entries, lo.__getitem__) for sym, entries in shape.items()})
     verdict = check_tmi(found, trs)
     if not verdict.ok:
         raise RuntimeError(

@@ -20,7 +20,10 @@ directory), tests/golden/inputs/*.trs and one more non-left-linear system:
   budgets 1, 50 and 20000;
 - `check-tmi` of every .tmi under trs/ and tests/golden/inputs/ against
   every system: a system it covers runs the checker to its verdict, any
-  other stops at the first symbol it lacks.
+  other stops at the first symbol it lacks;
+- for each trs/*.trs and tests/golden/inputs/*.trs, the fixed terms of
+  TERMS under each strategy: `rewrite` plain, with `--steps 3` and with
+  `--normalize` at fuels 1, 2 and 10, and `dh` at fuels 1, 2, 10 and 1000.
 
 It takes some minutes.  Exit status 0 when no run differs, 1 otherwise.
 """
@@ -41,6 +44,40 @@ ROOT = HERE.parent.parent
 
 #: A terminating system whose left-hand side repeats a variable.
 MINUS = "(VAR x y) (RULES m @ x @ x -> 0  m @ (s @ x) @ (s @ y) -> m @ x @ y)\n"
+
+#: A few terms per sample and golden input: redexes, nested and open terms,
+#: normal forms, and terms that loop or that the file's symbols reject.
+TERMS = {
+    "trs/add.trs": (
+        "add @ (s @ 0) @ (s @ (s @ 0))", "add @ (add @ 0 @ (s @ 0)) @ (s @ x)",
+        "s @ (add @ x @ 0)", "s(0)"),
+    "trs/add_uncurried.trs": (
+        "add#2(s#1(0), s#1(s#1(0)))", "add @ (s @ 0) @ (add @ 0 @ (s @ 0))",
+        "add#1(x) @ (s @ y)"),
+    "trs/double.trs": ("f @ (s @ (s @ 0))", "f @ (f @ (s @ 0))", "f @ x"),
+    "trs/id.trs": ("f @ 0", "id @ (id @ (f @ x))", "id @ f @ (f @ 0)"),
+    "trs/loop.trs": ("f @ g", "f @ (f @ x)", "f"),
+    "trs/parallel.trs": ("f @ a", "f @ (f @ a)", "f"),
+    "trs/switch.trs": ("f @ a", "g @ (f @ a)", "f @ (g @ a)"),
+    "tests/golden/inputs/a_to_b.trs": ("a", "c(a, a)", "b"),
+    "tests/golden/inputs/a_to_b_or_a.trs": ("a", "c(a, a)", "c(a, b)"),
+    "tests/golden/inputs/applied_variable.trs": ("f @ (g @ a)", "x @ (y @ z)", "a"),
+    "tests/golden/inputs/b_to_a.trs": ("b", "c(b, b)", "a"),
+    "tests/golden/inputs/b_to_ca.trs": ("b", "c(b)", "d(b, b)"),
+    "tests/golden/inputs/double_uncurried.trs": (
+        "f#1(s#1(s#1(0)))", "f @ (s @ (s @ 0))", "f#1(f#1(s#1(x)))"),
+    "tests/golden/inputs/dup.trs": ("d(d(a))", "d(p(a, a))", "d(x)"),
+    "tests/golden/inputs/eq_loop.trs": (
+        "eq @ a @ a", "h @ (eq @ a @ b)", "h @ (eq @ x @ x)"),
+    "tests/golden/inputs/id_uncurried.trs": ("f#1(0)", "id#2(f, 0)", "id @ (id @ 0)"),
+    "tests/golden/inputs/loop_uncurried.trs": ("f#1(g)", "f @ g", "f"),
+    "tests/golden/inputs/no_rules.trs": ("a", "f(x)"),
+    "tests/golden/inputs/parallel_uncurried.trs": ("f#1(a)", "f @ (f @ a)", "g#1(f)"),
+    "tests/golden/inputs/switch_uncurried.trs": ("g#1(f)", "g @ (f @ a)", "f"),
+    "tests/golden/inputs/syntax_error.trs": ("f @ x",),
+    "tests/golden/inputs/two_binaries.trs": (
+        "f @ a @ b", "f @ (f @ a @ b) @ x", "pair(a, b)"),
+}
 
 #: Runs the command lines read as JSON from stdin with the atrs on
 #: PYTHONPATH and writes their regen.run entries as JSON to stdout.
@@ -95,6 +132,14 @@ def grid(emits: dict[str, str], extra: list[str]) -> list[str]:
         str(p.relative_to(ROOT))
         for p in [*(ROOT / "trs").glob("*.tmi"), *(HERE / "inputs").glob("*.tmi")])
     lines += [f"check-tmi {q(f)} --tmi {q(t)}" for t in tmis for f in systems]
+    modes = [("rewrite", ""), ("rewrite", " --steps 3")]
+    modes += [("rewrite", f" --normalize --fuel {fuel}") for fuel in (1, 2, 10)]
+    modes += [("dh", f" --fuel {fuel}") for fuel in (1, 2, 10, 1000)]
+    lines += [
+        f"{command} {q(f)} --term {q(t)} --strategy {s}{options}"
+        for f in samples + inputs for t in TERMS[f]
+        for s in ("full", "innermost", "ri") for command, options in modes
+    ]
     return lines
 
 

@@ -19,6 +19,8 @@ from atrs.tmi import (
     _linearize,
     _orientation_failure,
     _orientation_tests,
+    _Slot,
+    _slot_table,
     check_tmi,
     identity,
     search_tmi,
@@ -327,29 +329,39 @@ _A, _B = sym("a", 0), sym("b", 0)
 _F, _G, _H = sym("f", 1), sym("g", 1), sym("h", 2)
 
 
-def _terms(names):
+def _terms(names, binary):
     leaves = [Fun(_A), Fun(_B)] + [Var(n) for n in names]
-    return st.recursive(
-        st.sampled_from(leaves),
-        lambda inner: st.one_of(
-            st.builds(lambda t: Fun(_F, (t,)), inner),
-            st.builds(lambda t: Fun(_G, (t,)), inner),
-            st.builds(lambda s, t: Fun(_H, (s, t)), inner, inner),
-        ),
-        max_leaves=4,
-    )
+
+    def extend(inner):
+        branches = [st.builds(lambda t: Fun(_F, (t,)), inner),
+                    st.builds(lambda t: Fun(_G, (t,)), inner)]
+        if binary:
+            branches.append(st.builds(lambda s, t: Fun(_H, (s, t)), inner, inner))
+        return st.one_of(*branches)
+
+    return st.recursive(st.sampled_from(leaves), extend, max_leaves=4)
 
 
 @st.composite
-def _small_systems(draw, max_rules=3):
+def _small_systems(draw, max_rules=3, binary=True):
+    """Systems over the constants a and b, the unary f and g and, if binary,
+    the binary h."""
     rules = []
     for _ in range(draw(st.integers(1, max_rules))):
-        lhs = draw(_terms(("x", "y")).filter(lambda t: isinstance(t, Fun)))
-        rules.append(Rule(lhs, draw(_terms(variables(lhs)))))
+        lhs = draw(_terms(("x", "y"), binary).filter(lambda t: isinstance(t, Fun)))
+        rules.append(Rule(lhs, draw(_terms(variables(lhs), binary))))
     return Trs(rules)
 
 
 _FA = Fun(_F, (Fun(_A),))
+
+
+def _assert_search_agrees_with_generate_and_test(trs, dim, coeff_bound):
+    try:
+        want = reference_search_tmi(trs, dim, coeff_bound, 5_000)
+    except SearchBudgetExhausted:
+        assume(False)
+    assert search_tmi(trs, dim, coeff_bound, 10_000_000) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,12 +372,15 @@ _FA = Fun(_F, (Fun(_A),))
 # certificate uses depends on the order the arguments are branched on
 @example(Trs([Rule(Fun(_H, (_FA, _FA)), Fun(_H, (Fun(_A), Fun(_A))))]), (2, 1))
 def test_search_agrees_with_generate_and_test(trs, space):
-    dim, coeff_bound = space
-    try:
-        want = reference_search_tmi(trs, dim, coeff_bound, 5_000)
-    except SearchBudgetExhausted:
-        assume(False)
-    assert search_tmi(trs, dim, coeff_bound, 10_000_000) == want
+    _assert_search_agrees_with_generate_and_test(trs, *space)
+
+
+@settings(max_examples=60, deadline=None)
+# without a binary symbol the reference decides most systems at dimension 3
+# within its budget
+@given(_small_systems(binary=False))
+def test_search_agrees_with_generate_and_test_at_dimension_three_over_unary_symbols(trs):
+    _assert_search_agrees_with_generate_and_test(trs, 3, 1)
 
 
 @st.composite
@@ -399,34 +414,46 @@ def test_linearize_and_orientation_equal_the_reference(data):
             entries, entries, dim, rule)
 
 
-def _rows(entries):
-    """The search's mutable rows of an interpretation's entries."""
-    return {
-        f: ([list(map(list, m)) for m in mats], list(vec))
-        for f, (mats, vec) in entries.items()
-    }
+def _flat(entries):
+    """A symbol's matrix entries, argument by argument, then its vector."""
+    mats, vec = entries
+    return [*chain.from_iterable(chain(*mats)), *vec]
+
+
+def test_slot_table_numbers_the_open_entries_in_branching_order():
+    # the last argument's matrix first, then the first one's, then the vector
+    shape, top, owner = _slot_table([_H, _A], 2, 5)
+    assert shape == {_H: ((((1, 2), (0, 3)), ((1, 0), (0, 1))), (4, 5)),
+                     _A: ((), (6, 7))}
+    assert top == [5, 1, 5, 1, 5, 5, 5, 5]
+    assert owner == [_H] * 6 + [_A] * 2
+    # slots 0 and 1 are told from the fixed entries 0 and 1 by their type
+    assert [type(e) is _Slot for e in _flat(shape[_H])] == [False, True] * 4 + [True] * 2
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_compiled_orientation_tests_equal_the_reference(data):
-    # compiled once over rows at the search's bounds, the tests read what is
-    # written into the rows afterwards: the largest completion of a partial
-    # interpretation for the lhs and the smallest for the rhs, drawn
+    # compiled once over a slot table at the search's bounds, the tests read
+    # what is written into hi and lo afterwards: the largest completion of a
+    # partial interpretation for the lhs and the smallest for the rhs, drawn
     # independently
     trs = data.draw(_small_systems())
     dim = data.draw(st.integers(1, 3))
-    mat_low, mat_high = shape_bounds(dim, 3)
-    highs = _rows({f: ((mat_high,) * f.arity, (3,) * dim) for f in sorted(trs.signature)})
-    lows = _rows({f: ((mat_low,) * f.arity, (0,) * dim) for f in sorted(trs.signature)})
-    tests = _orientation_tests(trs.rules, dim, highs, lows)
+    shape, top, _ = _slot_table(sorted(trs.signature), dim, 3)
+    hi, lo = list(top), [0] * len(top)
+    tests = _orientation_tests(trs.rules, dim, shape, hi, lo)
     for _ in range(3):
         high = data.draw(_candidate_entries(trs.signature, dim, 3))
         low = data.draw(_candidate_entries(trs.signature, dim, 3))
-        for rows, entries in ((highs, high), (lows, low)):
-            for f, (mats, vec) in entries.items():
-                for row, values in zip(chain(*rows[f][0], [rows[f][1]]), chain(*mats, [vec])):
-                    row[:] = values
+        for f, entries in shape.items():
+            for e, h, l in zip(_flat(entries), _flat(high[f]), _flat(low[f])):
+                if type(e) is _Slot:
+                    assert h <= top[e] and l <= top[e]
+                    hi[e], lo[e] = h, l
+                else:
+                    # the candidates have the entries the shape fixes
+                    assert e == h == l
         assert [test() for test in tests] == [
             orientation_failure(high, low, dim, rule) is None for rule in trs.rules]
 
