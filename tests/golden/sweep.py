@@ -69,6 +69,7 @@ TERMS = {
     "tests/golden/inputs/dup.trs": ("d(d(a))", "d(p(a, a))", "d(x)"),
     "tests/golden/inputs/eq_loop.trs": (
         "eq @ a @ a", "h @ (eq @ a @ b)", "h @ (eq @ x @ x)"),
+    "tests/golden/inputs/fgh_redex.trs": ("f(g(h(x)))", "g(f(g(h(x))))", "h(x)"),
     "tests/golden/inputs/id_uncurried.trs": ("f#1(0)", "id#2(f, 0)", "id @ (id @ 0)"),
     "tests/golden/inputs/loop_uncurried.trs": ("f#1(g)", "f @ g", "f"),
     "tests/golden/inputs/no_rules.trs": ("a", "f(x)"),
