@@ -6,12 +6,10 @@ main-system steps modulo a second system.  Tables are computed by brute force
 over a canonical enumeration of terms, so they are exact at desk scale.  The
 enumeration builds each size from cached argument lists of smaller sizes,
 made only when a larger term first needs them; the row being tabled is
-streamed, not stored.  A normal form has height 0, so once a table has its
-first witness it streams no term that the left-hand sides prove normal.
-The innermost-loop search streams the same enumeration, every term of it,
-searches none that the left-hand sides prove normal, and stops at the first
-innermost cycle.  _start_terms is the one place that decides which start
-terms a search streams.
+streamed, not stored.  _Enumeration.starts gives the start terms of every
+search: above size 1 none that the left-hand sides prove normal, as such a
+term has height 0 and starts no cycle.  The innermost-loop search streams
+them too and stops at the first innermost cycle.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ class _Enumeration:
     a linearised left-hand side matches at the root.  Linearising only
     widens matching, so a state >= 0 proves the term normal in every system
     whose left-hand sides are in lhss.  stream(..., cut=True) never builds
-    the terms so proved."""
+    the terms so proved; starts is the one caller that cuts."""
 
     def __init__(self, signature: Iterable[Symbol], max_vars: int,
                  lhss: Iterable[Term] = ()):
@@ -99,6 +97,11 @@ class _Enumeration:
                         yield Fun(f), used, state
             elif size > f.arity:
                 yield from self._apply(f, (), (), size - 1, f.arity, used, cut)
+
+    def starts(self, size: int) -> Iterator[Term]:
+        """Every term of size 1 and, above it, the terms the automaton
+        cannot prove normal: every term has a leaf, so none only if no term."""
+        return (t for t, _, _ in self.stream(size, cut=size > 1))
 
     def _listed(self, size: int, used: int) -> _Stream:
         out = self.lists.get((size, used))
@@ -178,8 +181,8 @@ class ComplexityTable:
 
 
 def _start_terms(trs: Trs, max_vars: int) -> _Enumeration:
-    """The start terms of every search over trs: canonical terms over its
-    signature, with its left-hand sides for the automaton.
+    """The enumeration whose starts are the start terms of every search over
+    trs: canonical terms over its signature, its lhss for the automaton.
 
     A left-linear system enumerates at most one variable: merging a term's
     variables keeps its size and its height under every strategy, and the
@@ -203,8 +206,7 @@ def _fill_table(
     best = 0
     witness: Term | None = None
     for n in range(1, max_size + 1):
-        # a normal form has height 0: past the first witness it changes no row
-        for t, _, _ in enumeration.stream(n, cut=witness is not None):
+        for t in enumeration.starts(n):
             outcome = search.height(t, fuel)
             if isinstance(outcome, Finished):
                 if witness is None or outcome.value > best:
@@ -227,13 +229,12 @@ def detect_innermost_nontermination(
 ) -> FuelOutcome:
     """Search enumerated start terms for an innermost cycle.
 
-    The start terms of size up to max_term_size come from _start_terms and
-    are tried in enumeration order; each height search explores at most fuel
-    distinct terms.  A start term that the left-hand sides prove normal
-    starts no cycle: it is counted and recorded with height 0, but not
-    searched.  Returns LoopDetected with the first innermost cycle found;
-    otherwise FuelExhausted if some start term ran out of fuel, else
-    Finished(number of start terms), which is no proof of termination.
+    The start terms of size up to max_term_size are tried in enumeration
+    order; each height search explores at most fuel distinct terms.  Returns
+    LoopDetected with the first innermost cycle found; otherwise
+    FuelExhausted if some start term ran out of fuel, else Finished(number
+    of start terms searched), which is no proof of termination and is 0
+    only when no start term exists.
     """
     if fuel < 1:
         raise ValueError("fuel must be positive")
@@ -241,12 +242,8 @@ def detect_innermost_nontermination(
     enumeration = _start_terms(trs, max_vars)
     exhausted, count = False, 0
     for n in range(1, max_term_size + 1):
-        for t, _, state in enumeration.stream(n):
+        for t in enumeration.starts(n):
             count += 1
-            if state >= 0:
-                # later searches then read its height 0 without fuel
-                search.memo[t] = 0
-                continue
             outcome = search.height(t, fuel)
             if isinstance(outcome, LoopDetected):
                 return outcome

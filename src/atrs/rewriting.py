@@ -8,8 +8,8 @@ witnesses.
 All searches are totalized by fuel: they finish, run out of fuel, or detect
 a loop and report it with a concrete witness.
 
-HeightSearch is the one longest-path search.  It walks the distinct
-one-step results of each term under a strategy; RelativeHeightSearch walks
+HeightSearch is the one longest-path search.  It walks the one-step
+results of each term under a strategy; RelativeHeightSearch walks
 the relative successors of a main system modulo a second one instead, and
 only these successors and the loop witness differ between the two.
 
@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .terms import (
     Fun,
@@ -279,12 +279,12 @@ class HeightSearch:
     """Longest-path search over the rewrite graph of trs under kind, with a
     shared memo table.
 
-    The edges from t go to its distinct one-step results, in step order.
-    height() may be called for many start terms and reuses everything
-    already explored.  Fuel counts terms newly explored by one call;
-    memoized subgraphs are free.  Subclasses change the graph by overriding
-    _successors and _cycle_trace.  A caller that has proved a term normal
-    may record it in memo with height 0, as height() would.
+    The edges from t go to its one-step results, in step order, read from
+    the step table as they are: a result repeated there is a memo hit by
+    the time it is reached again.  height() may be called for many start
+    terms and reuses everything already explored.  Fuel counts terms newly
+    explored by one call; memoized subgraphs are free.  Subclasses change
+    the graph by overriding _successors and _cycle_trace.
     """
 
     def __init__(self, trs: Trs, kind: StrategyKind):
@@ -293,8 +293,8 @@ class HeightSearch:
         self.memo: dict[Term, int] = {}
         self._steps = _TABLES[kind]
 
-    def _successors(self, t: Term) -> tuple[Term, ...]:
-        return tuple(dict.fromkeys(self._steps(self.trs, t)))
+    def _successors(self, t: Term) -> Sequence[Term]:
+        return self._steps(self.trs, t)
 
     def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:
         """The steps along cycle[0] -> cycle[1] -> ... -> cycle[0], taking
@@ -387,8 +387,8 @@ class RelativeHeightSearch(HeightSearch):
         )
         super().__init__(self.combined, StrategyKind.FULL)
 
-    def _successors(self, t: Term) -> tuple[Term, ...]:
-        return tuple(relative_successors(self.main, self.closure, t))
+    def _successors(self, t: Term) -> Sequence[Term]:
+        return relative_successors(self.main, self.closure, t)
 
     def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:
         """A shortest combined trace from cycle[0] back to itself with at

@@ -32,7 +32,7 @@ from atrs.rewriting import (
     strategy_search,
     successors,
 )
-from atrs.terms import is_left_linear, term_sort_key, variables
+from atrs.terms import Fun, is_left_linear, subterms, term_sort_key, variables
 from atrs.uncurrying import transform
 
 FULL = StrategyKind.FULL
@@ -440,17 +440,27 @@ def test_relative_height_fuel_exhaustion_from_the_closure():
     assert search.height(term_in(modulo, "c"), 15) == FuelExhausted()
 
 
+def _unproved(trs, max_size, max_vars):
+    """The terms of every size up to max_size that are not normal forms of
+    trs, with every term of size 1.  On a left-linear system the automaton
+    proves exactly the normal forms normal, so these are its start terms."""
+    return [t for n in range(1, max_size + 1)
+            for t in reference.terms_of_size(trs.signature, n, max_vars)
+            if n == 1 or not reference.is_normal_form(trs, t)]
+
+
 def test_innermost_nontermination_detector():
     looping = transform(samples.system("head_loop")).combined
     outcome = detect_innermost_nontermination(looping, 4, 500)
     assert isinstance(outcome, LoopDetected)
     replay(looping, outcome.witness, INNER)
 
-    # a left-linear system's start terms have at most one variable
+    # a left-linear system's start terms have at most one variable, and
+    # above size 1 none of them is a normal form
     terminating = transform(samples.system("head_switch")).combined
     assert is_left_linear(terminating)
     outcome = detect_innermost_nontermination(terminating, 5, 500)
-    assert outcome == Finished(len(enumerate_terms(terminating.signature, 5, 1)))
+    assert outcome == Finished(len(_unproved(terminating, 5, 1)))
 
     growing = trs_of("(VAR x) (RULES f @ x -> f @ (s @ x))")
     assert detect_innermost_nontermination(growing, 3, 50) == FuelExhausted()
@@ -463,9 +473,9 @@ def test_innermost_loop_search_stops_enumerating_at_the_first_loop(
     asked = []
     stream = complexity._Enumeration.stream
 
-    def recording(self, size, used=0):
+    def recording(self, size, used=0, cut=False):
         asked.append(size)
-        return stream(self, size, used)
+        return stream(self, size, used, cut)
 
     monkeypatch.setattr(complexity._Enumeration, "stream", recording)
     path = tmp_path / "loop_at_3.trs"
@@ -477,21 +487,32 @@ def test_innermost_loop_search_stops_enumerating_at_the_first_loop(
     assert asked and max(asked) <= 3
 
 
-def test_the_loop_search_builds_no_step_table_for_start_terms_proved_normal():
-    # f(g(h(x))) is the only redex pattern: every term up to size 3 is
-    # proved normal by the lhs automaton, and f(g(h(x))) at size 4 is not
-    trs = trs_of("(VAR x) (RULES f(g(h(x))) -> x)")
+def test_the_loop_search_builds_no_start_term_proved_normal_above_size_1():
+    # f7(g7(h7(x))) is the only redex pattern, over symbols no other test
+    # uses: every term up to size 3 is proved normal by the lhs automaton,
+    # and f7(g7(h7(x))) at size 4 is not.  The one start term of size 1 is
+    # x, as the system is left-linear.
+    trs = trs_of("(VAR x) (RULES f7(g7(h7(x))) -> x)")
+    parsed = set(subterms(trs.rules[0].lhs))
 
     def table_size():
         return _innermost_steps.cache_info().currsize
 
+    def built(n):
+        # the terms of size n, each a unary symbol over a term of size n - 1
+        # that the search has built as an argument, that parsing did not build
+        return {Fun(f, (t,)) for t in complexity.terms_of_size(trs.signature, n - 1, 1)
+                for f in trs.signature
+                if (f, (t,)) in Fun._intern} - parsed
+
     before = table_size()
-    assert detect_innermost_nontermination(trs, 3, 10) == Finished(
-        len(enumerate_terms(trs.signature, 3)))
-    assert table_size() == before
-    assert detect_innermost_nontermination(trs, 4, 10) == Finished(
-        len(enumerate_terms(trs.signature, 4)))
-    assert table_size() != before
+    assert detect_innermost_nontermination(trs, 3, 10) == Finished(1)
+    assert table_size() == before + 1  # the step table of x alone
+    assert built(3) == set()
+    assert detect_innermost_nontermination(trs, 4, 10) == Finished(2)
+    assert built(4) == set()
+    # and of f7(g7(h7(x))) with its subterms g7(h7(x)) and h7(x)
+    assert table_size() == before + 4
 
 
 def test_the_loop_search_enumerates_one_variable_exactly_on_left_linear_systems(
@@ -507,8 +528,9 @@ def test_the_loop_search_enumerates_one_variable_exactly_on_left_linear_systems(
     monkeypatch.setattr(HeightSearch, "height", recording)
     addition = samples.system("addition")
     assert detect_innermost_nontermination(addition, 6, 100) == Finished(
-        len(enumerate_terms(addition.signature, 6, 1)))
-    assert searched and all(len(variables(t)) <= 1 for t in searched)
+        len(searched))
+    assert searched == _unproved(addition, 6, 1)
+    assert all(len(variables(t)) <= 1 for t in searched)
     # eq @ x @ y is normal only while its arguments differ, so the loop
     # needs two variables; with one, h @ (eq @ x @ eq) loops instead
     eq_loop = trs_of("(VAR x y) (RULES eq @ x @ x -> true"
@@ -523,13 +545,15 @@ def test_the_loop_search_enumerates_one_variable_exactly_on_left_linear_systems(
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(strategies.first_order_systems(), strategies.applicative_systems()))
 def test_innermost_loop_search_equals_the_reference_on_random_systems(trs):
-    """The search, which skips the start terms the lhs automaton proves
-    normal and enumerates one variable on a left-linear system, finds a loop
-    exactly when the reference height search from every start term with two
-    variables does, and otherwise counts every start term it enumerates.  A
-    start term the reference cannot finish within its budget leaves the
-    verdict open; fuel _BUDGET suffices for the others, as each search
-    counts distinct terms."""
+    """The search, which builds no start term above size 1 that the lhs
+    automaton proves normal and enumerates one variable on a left-linear
+    system, finds a loop exactly when the reference height search from every
+    start term with two variables does.  Otherwise it counts the start terms
+    it searched: exactly the terms of size 1 and the other terms that are no
+    normal form on a left-linear system, and at least those and at most
+    every term on any system.  A start term the reference cannot finish
+    within its budget leaves the verdict open; fuel _BUDGET suffices for the
+    others, as each search counts distinct terms."""
     steps = functools.cache(lambda s: reference.successors(trs, s, INNER))
     starts = [t for n in range(1, 5)
               for t in reference.terms_of_size(trs.signature, n, 2)]
@@ -553,8 +577,35 @@ def test_innermost_loop_search_equals_the_reference_on_random_systems(trs):
         assert isinstance(got, LoopDetected)
     elif not undecided:
         max_vars = 1 if is_left_linear(trs) else 2
-        assert got == Finished(sum(
-            len(reference.terms_of_size(trs.signature, n, max_vars)) for n in range(1, 5)))
+        lower = len(_unproved(trs, 4, max_vars))
+        upper = sum(len(reference.terms_of_size(trs.signature, n, max_vars))
+                    for n in range(1, 5))
+        assert isinstance(got, Finished)
+        assert got.value == lower if max_vars == 1 else lower <= got.value <= upper
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(strategies.first_order_systems(), strategies.applicative_systems()))
+def test_the_loop_search_finds_the_loop_that_searching_every_start_term_finds(trs):
+    """A driver that searches every start term, the ones proved normal
+    included, with one fresh HeightSearch finds the same first loop witness
+    as the search, or none when the search finishes.  A proved normal term
+    has no successor, so it lies on no cycle and leaves the depth-first
+    order of every other term alone.  The driver's fuel _BUDGET leaves the
+    verdict open when it runs out; otherwise its memo size plus _BUDGET
+    bounds the terms any one call of the search explores."""
+    driver = HeightSearch(trs, INNER)
+    enumeration = complexity._start_terms(trs, 2)
+    outcomes = (driver.height(t, _BUDGET)
+                for n in range(1, 5) for t, _, _ in enumeration.stream(n))
+    want = next((out for out in outcomes if not isinstance(out, Finished)), None)
+    if isinstance(want, FuelExhausted):
+        return
+    got = detect_innermost_nontermination(trs, 4, len(driver.memo) + _BUDGET)
+    if want is None:
+        assert isinstance(got, Finished)
+    else:
+        assert got == want
 
 
 def test_innermost_and_rightmost_heights_agree_pointwise():
