@@ -100,7 +100,8 @@ class _Enumeration:
 
     def starts(self, size: int) -> Iterator[Term]:
         """Every term of size 1 and, above it, the terms the automaton
-        cannot prove normal: every term has a leaf, so none only if no term."""
+        cannot prove normal.  Every term has a leaf, so a search gets no
+        start term only when no term exists."""
         return (t for t, _, _ in self.stream(size, cut=size > 1))
 
     def _listed(self, size: int, used: int) -> _Stream:

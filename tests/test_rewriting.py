@@ -487,11 +487,12 @@ def test_innermost_loop_search_stops_enumerating_at_the_first_loop(
     assert asked and max(asked) <= 3
 
 
-def test_the_loop_search_builds_no_start_term_proved_normal_above_size_1():
+def test_the_loop_search_builds_no_step_table_for_start_terms_proved_normal():
     # f7(g7(h7(x))) is the only redex pattern, over symbols no other test
     # uses: every term up to size 3 is proved normal by the lhs automaton,
     # and f7(g7(h7(x))) at size 4 is not.  The one start term of size 1 is
-    # x, as the system is left-linear.
+    # x, as the system is left-linear; no larger start term proved normal
+    # is built, nor given a step table.
     trs = trs_of("(VAR x) (RULES f7(g7(h7(x))) -> x)")
     parsed = set(subterms(trs.rules[0].lhs))
 
@@ -499,8 +500,9 @@ def test_the_loop_search_builds_no_start_term_proved_normal_above_size_1():
         return _innermost_steps.cache_info().currsize
 
     def built(n):
-        # the terms of size n, each a unary symbol over a term of size n - 1
-        # that the search has built as an argument, that parsing did not build
+        # the interned terms of size n that parsing the rule did not build;
+        # each is a unary symbol over a term of size n - 1, which the search
+        # built as an argument
         return {Fun(f, (t,)) for t in complexity.terms_of_size(trs.signature, n - 1, 1)
                 for f in trs.signature
                 if (f, (t,)) in Fun._intern} - parsed
