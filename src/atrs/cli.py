@@ -43,7 +43,6 @@ from .rewriting import (
     Finished,
     FuelExhausted,
     LoopDetected,
-    LoopWitness,
     StrategyKind,
     normalize,
     derivation_height,
@@ -89,22 +88,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _witness_data(witness: LoopWitness) -> dict:
+def _witness_data(loop: LoopDetected) -> dict:
     return {
-        "start": format_term(witness.start),
+        "start": format_term(loop.start),
         "trace": [
             {
                 "position": list(st.position),
                 "rule": st.rule_index + 1,
                 "result": format_term(st.result),
             }
-            for st in witness.trace
+            for st in loop.trace
         ],
     }
 
 
-def _witness_lines(witness: LoopWitness) -> list[str]:
-    data = _witness_data(witness)
+def _witness_lines(loop: LoopDetected) -> list[str]:
+    data = _witness_data(loop)
     return [f"start: {data['start']}"] + [
         f"  -> {st['result']}  (rule {st['rule']} at"
         f" {'.'.join(map(str, st['position'])) or 'root'})"
@@ -183,8 +182,8 @@ def _cmd_rewrite(args) -> int:
             return _emit(args, "ok", {"normal_form": format_term(outcome.value)},
                          [format_term(outcome.value)])
         if isinstance(outcome, LoopDetected):
-            return _emit(args, "loop", {"witness": _witness_data(outcome.witness)},
-                         ["loop detected"] + _witness_lines(outcome.witness))
+            return _emit(args, "loop", {"witness": _witness_data(outcome)},
+                         ["loop detected"] + _witness_lines(outcome))
         return _emit(args, "fuel-exhausted", {"fuel": args.fuel},
                      [f"fuel exhausted after {args.fuel} steps"])
     if args.steps is not None:
@@ -211,8 +210,8 @@ def _cmd_dh(args) -> int:
         return _emit(args, "ok", {"dh": outcome.value}, [f"dh = {outcome.value}"])
     if isinstance(outcome, LoopDetected):
         return _emit(
-            args, "loop", {"witness": _witness_data(outcome.witness)},
-            ["loop detected, height undefined"] + _witness_lines(outcome.witness),
+            args, "loop", {"witness": _witness_data(outcome)},
+            ["loop detected, height undefined"] + _witness_lines(outcome),
         )
     return _emit(args, "fuel-exhausted", {"fuel": args.fuel},
                  [f"fuel exhausted ({args.fuel} distinct terms explored)"])
@@ -315,8 +314,8 @@ def _report_output(args, report: VerificationReport) -> int:
         "failures": [
             {
                 "instance": [format_term(t) for t in f.instance],
-                "expected": f.expected,
-                "observed": f.observed,
+                "expected": report.expected,
+                "observed": report.observed,
             }
             for f in report.failures
         ],
@@ -343,8 +342,8 @@ def _cmd_verify(args) -> int:
             trs, args.max_size, args.fuel, args.max_vars
         )
         if isinstance(outcome, LoopDetected):
-            return _emit(args, "loop", {"loop": _witness_data(outcome.witness)},
-                         ["innermost loop found"] + _witness_lines(outcome.witness))
+            return _emit(args, "loop", {"loop": _witness_data(outcome)},
+                         ["innermost loop found"] + _witness_lines(outcome))
         if isinstance(outcome, FuelExhausted):
             return _emit(args, "undecided", {"loop": None},
                          ["undecided: some start terms ran out of fuel"])

@@ -23,7 +23,6 @@ from .rewriting import (
     FuelOutcome,
     HeightSearch,
     LoopDetected,
-    LoopWitness,
     RelativeHeightSearch,
     StrategyKind,
 )
@@ -169,15 +168,15 @@ class ComplexityTable:
     """dc values per size bound, with the reason the table stopped, if any.
 
     rows[n] is exact over all enumerated terms of size <= n.  incomplete_at
-    names the first size whose row could not be completed; loop carries the
-    witness when the reason was a reachable cycle, fuel_exhausted_on names
-    the starting term when the reason was fuel.
+    names the first size whose row could not be completed; loop is the
+    search's LoopDetected when the reason was a reachable cycle, and
+    fuel_exhausted_on names the starting term when the reason was fuel.
     """
 
     strategy: StrategyKind
     rows: dict[int, DcRow] = field(default_factory=dict)
     incomplete_at: int | None = None
-    loop: LoopWitness | None = None
+    loop: LoopDetected | None = None
     fuel_exhausted_on: Term | None = None
 
 
@@ -215,7 +214,7 @@ def _fill_table(
                     witness = t
             elif isinstance(outcome, LoopDetected):
                 table.incomplete_at = n
-                table.loop = outcome.witness
+                table.loop = outcome
                 return table
             else:
                 table.incomplete_at = n

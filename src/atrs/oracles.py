@@ -30,28 +30,29 @@ _U_FUEL = 1_000_000
 
 @dataclass(frozen=True)
 class Failure:
-    """One refuted instance: the terms involved, the expected relation
-    between them, and what the search observed instead."""
+    """One refuted instance: the terms involved."""
 
     instance: tuple[Term, ...]
-    expected: str
-    observed: str
 
 
 @dataclass
 class VerificationReport:
     """Outcome of one oracle run.
 
-    Every instance the oracle lists counts as checked, decided or not.
-    exhausted holds the undecided entries: instances whose check ran out of
-    fuel, and source terms alone, (s,), whose instances did not fit in the
-    fuel to be listed and so count none.  failures is empty iff the property
-    held on every decided instance.  A report that checked nothing is vacuous
-    and must not be read as success.  status is the verdict: the first of
-    refuted, vacuous and undecided that applies, or ok.
+    expected is the relation the property asks of each instance, and
+    observed what a refuted instance shows instead; they hold for every
+    failure.  Every instance the oracle lists counts as checked, decided or
+    not.  exhausted holds the undecided entries: instances whose check ran
+    out of fuel, and source terms alone, (s,), whose instances did not fit
+    in the fuel to be listed and so count none.  failures is empty iff the
+    property held on every decided instance.  A report that checked nothing
+    is vacuous and must not be read as success.  status is the verdict: the
+    first of refuted, vacuous and undecided that applies, or ok.
     """
 
     property_name: str
+    expected: str
+    observed: str
     instances_checked: int
     failures: tuple[Failure, ...] = ()
     exhausted: tuple[tuple[Term, ...], ...] = ()
@@ -80,8 +81,9 @@ def _report(name: str, expected: str, observed: str, verdicts) -> VerificationRe
         if verdict is None:
             exhausted.append(instance)
         elif not verdict:
-            failures.append(Failure(instance, expected, observed))
-    return VerificationReport(name, checked, tuple(failures), tuple(exhausted))
+            failures.append(Failure(instance))
+    return VerificationReport(
+        name, expected, observed, checked, tuple(failures), tuple(exhausted))
 
 
 def _within_fuel(search, t: Term) -> set[Term] | None:
@@ -134,11 +136,11 @@ def verify_rightmost_simulation(
             # every step counts, so results repeat as often as their steps do
             results = _ri_steps(trs, t)
             sources = sorted(u_reach.star(t), key=term_sort_key) if results else ()
+            reached = [_within_fuel(i_reach.plus, s) for s in sources]
             for u in results:
                 targets = u_reach.star(u)
-                for s in sources:
-                    reached = _within_fuel(i_reach.plus, s)
-                    met = None if reached is None else not reached.isdisjoint(targets)
+                for s, plus in zip(sources, reached):
+                    met = None if plus is None else not plus.isdisjoint(targets)
                     yield (t, s, u), met
 
     return _report("ri-sim", "innermost derivation from s meets a reduct of u",

@@ -6,7 +6,8 @@ system's candidates for it (Trs.candidates, the rule index), in rule order.
 redexes builds step records, with position and rule, only for loop
 witnesses.
 All searches are totalized by fuel: they finish, run out of fuel, or detect
-a loop and report it with a concrete witness.
+a loop and report it as one record, LoopDetected(start, trace), whose steps,
+each with position, rule and result, lead from start back to start.
 
 HeightSearch is the one longest-path search.  It walks the one-step
 results of each term under a strategy; RelativeHeightSearch walks
@@ -59,14 +60,6 @@ class RewriteStep:
 
 
 @dataclass(eq=True)
-class LoopWitness:
-    """A nonempty step sequence leading from start back to start."""
-
-    start: Term
-    trace: tuple[RewriteStep, ...]
-
-
-@dataclass(eq=True)
 class Finished:
     value: object
 
@@ -78,7 +71,10 @@ class FuelExhausted:
 
 @dataclass(eq=True)
 class LoopDetected:
-    witness: LoopWitness
+    """A nonempty step sequence leading from start back to start."""
+
+    start: Term
+    trace: tuple[RewriteStep, ...]
 
 
 #: Every bounded search returns one of these three.
@@ -254,7 +250,8 @@ def normalize(trs: Trs, t: Term, kind: StrategyKind, fuel: int) -> FuelOutcome:
     """Repeatedly apply the first available step until a normal form.
 
     Finished(normal form); LoopDetected as soon as a term repeats on the
-    derivation; FuelExhausted after fuel steps without reaching a normal form.
+    derivation, its trace taking the first step of each term on the cycle;
+    FuelExhausted after fuel steps without reaching a normal form.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -268,7 +265,7 @@ def normalize(trs: Trs, t: Term, kind: StrategyKind, fuel: int) -> FuelOutcome:
         if t in seen_at:
             cycle = list(seen_at)[seen_at[t] :]
             trace = tuple(redexes(trs, a, kind)[0] for a in cycle)
-            return LoopDetected(LoopWitness(t, trace))
+            return LoopDetected(t, trace)
         seen_at[t] = len(seen_at)
     if not steps(trs, t):
         return Finished(t)
@@ -334,7 +331,7 @@ class HeightSearch:
                             frame[3] = h + 1
                     elif u in on_stack:
                         cycle = [f[0] for f in stack[on_stack[u] :]]
-                        return LoopDetected(LoopWitness(u, self._cycle_trace(cycle)))
+                        return LoopDetected(u, self._cycle_trace(cycle))
                     else:
                         new_nodes += 1
                         if new_nodes > fuel:

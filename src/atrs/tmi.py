@@ -184,15 +184,18 @@ class Certificate:
 class TmiVerdict:
     """Outcome of checking an interpretation against a system.
 
-    On success, certificate bounds the derivational complexity.  On failure,
-    failure says which condition broke first and failing_rule_index names the
-    rule when the condition was an orientation.
+    ok holds exactly when there is a certificate, which bounds the
+    derivational complexity.  Otherwise failure says which condition broke
+    first and failing_rule_index names the rule if it was an orientation.
     """
 
-    ok: bool
     certificate: Certificate | None = None
     failure: str | None = None
     failing_rule_index: int | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.certificate is not None
 
 
 def check_tmi(interp: MatrixInterp, trs: Trs) -> TmiVerdict:
@@ -212,20 +215,17 @@ def check_tmi(interp: MatrixInterp, trs: Trs) -> TmiVerdict:
         for sym in sorted(interp.entries):
             for i, m in enumerate(interp.entries[sym][0], 1):
                 if not fits(m):
-                    return TmiVerdict(ok=False, failure=failure.format(i, sym))
+                    return TmiVerdict(failure=failure.format(i, sym))
     # every rule is decided before the first failure is reported, so a symbol
     # missing from the interpretation raises even after an unoriented rule
     entries, dim = interp.entries, interp.dim
     failures = [_orientation_failure(entries, dim, r) for r in trs.rules]
     for i, detail in enumerate(failures):
         if detail is not None:
-            return TmiVerdict(
-                ok=False,
-                failure=f"rule {i + 1} not strictly oriented: {detail}",
-                failing_rule_index=i,
-            )
+            return TmiVerdict(failure=f"rule {i + 1} not strictly oriented: {detail}",
+                              failing_rule_index=i)
     cert = Certificate("upper-bound", dim, f"dc(n) in O(n^{dim})")
-    return TmiVerdict(ok=True, certificate=cert)
+    return TmiVerdict(certificate=cert)
 
 
 def _search_schedule(trs: Trs) -> list[Symbol]:

@@ -46,19 +46,20 @@ class AtrsContext:
     """Everything fixed by detecting an ATRS: the application symbol, the
     constants, their applicative arities, and the fresh symbol family.
 
-    aa lists the constants in constant order: by first occurrence in the
+    aa names the constants in constant order: by first occurrence in the
     rules, then the rest by name.  The family member f_i is f itself for
     i = 0 and a fresh symbol named ``f#i`` of arity i for 1 <= i <= aa(f).
-    up maps each f_i with i < aa(f) to f_{i+1}, in constant order and then
-    by i.
+    Both constants, their symbols, and up, which maps each f_i with
+    i < aa(f) to f_{i+1} in constant order and then by i, come from aa.
     """
 
     app: Symbol
-    constants: frozenset[Symbol]
     aa: dict[str, int]
+    constants: frozenset[Symbol] = field(init=False, repr=False, compare=False)
     up: dict[Symbol, Symbol] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.constants = frozenset(Symbol(name, 0) for name in self.aa)
         self.up = {}
         for name, k in self.aa.items():
             members = [self.family(name, i) for i in range(k + 1)]
@@ -121,7 +122,7 @@ def detect_atrs(trs: Trs, app_hint: str | None = None) -> AtrsContext:
     for name in sorted(c.name for c in constants):
         aa.setdefault(name, 0)
 
-    ctx = AtrsContext(app, constants, aa)
+    ctx = AtrsContext(app, aa)
     taken = {s.name for s in trs.signature}
     clashes = [s.name for s in ctx.up.values() if s.name in taken]
     if clashes:

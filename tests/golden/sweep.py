@@ -175,7 +175,8 @@ def main() -> int:
                 done = subprocess.run(
                     [sys.executable, "-m", "atrs.cli", "uncurry", str(f),
                      "--emit", "combined"],
-                    env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                    env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                             PYTHONDONTWRITEBYTECODE="1"),
                     capture_output=True, text=True)
                 if done.returncode == 0:
                     emit = Path(tmp, f"{f.stem}.combined.trs")

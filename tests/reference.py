@@ -12,6 +12,9 @@ The recursive term enumeration below is the reference for
 atrs.complexity.terms_of_size: canonical terms of one size, variables
 first, then symbols in sorted order, rebuilt from the leaves on every call.
 
+A loop witness replays when each step of its trace is one of these steps
+from the term before it and the trace closes.
+
 Terms sort by a nested key, one tuple per subterm.  Heights come from a
 depth-first search over these successors with no memo, closures from a
 breadth-first search, relative successors from full modulo closures, and
@@ -32,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Iterator, Mapping
 
-from atrs.rewriting import RewriteStep, StrategyKind
+from atrs.rewriting import LoopDetected, RewriteStep, StrategyKind
 from atrs.terms import (
     APP,
     Fun,
@@ -149,6 +152,17 @@ def steps(trs: Trs, t: Term, kind: StrategyKind) -> list[RewriteStep]:
 def successors(trs: Trs, t: Term, kind: StrategyKind) -> list[Term]:
     """The distinct results of steps(trs, t, kind), in step order."""
     return list(dict.fromkeys(st.result for st in steps(trs, t, kind)))
+
+
+def assert_loop_replays(trs: Trs, loop: LoopDetected, kind: StrategyKind) -> None:
+    """Assert that loop is a real cycle under the strategy: each step of its
+    trace, with position, rule and result, is a step from the term before
+    it, loop.start for the first, and the nonempty trace ends at loop.start."""
+    cur = loop.start
+    for step in loop.trace:
+        assert step in steps(trs, cur, kind), (cur, step)
+        cur = step.result
+    assert loop.trace and cur == loop.start
 
 
 def _terms_of_size(

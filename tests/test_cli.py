@@ -477,7 +477,7 @@ def test_verify_reports_closure_fuel_as_undecided(
 def _one_failure(trs, max_size, fuel):
     x = Var("x")
     return VerificationReport(
-        "uncurried-step", 3, (Failure((x, Fun(Symbol("a", 0))), "x -> a", "none"),)
+        "uncurried-step", "x -> a", "none", 3, (Failure((x, Fun(Symbol("a", 0)))),)
     )
 
 

@@ -209,7 +209,7 @@ def test_dc_table_stops_at_a_loop():
     trs = samples.system("head_loop")
     table = dc_table(trs, 4, FULL, 10_000)
     assert table.incomplete_at == 3
-    assert table.loop is not None
+    reference.assert_loop_replays(trs, table.loop, FULL)
     assert sorted(table.rows) == [1, 2]
     assert table.rows[1].value == 1
     assert table.fuel_exhausted_on is None
@@ -262,7 +262,7 @@ def two_variable_table(search, kind, fuel, signature, max_size):
             else:
                 table.incomplete_at = n
                 if isinstance(outcome, LoopDetected):
-                    table.loop = outcome.witness
+                    table.loop = outcome
                 else:
                     table.fuel_exhausted_on = t
                 return table
@@ -294,7 +294,7 @@ def test_one_variable_tables_equal_two_variable_tables(name):
         assert want.fuel_exhausted_on is None
         assert dc_table(trs, 6, kind, 5_000) == want
         if name == "head_loop" and kind is FULL:
-            assert want.loop is not None
+            reference.assert_loop_replays(trs, want.loop, kind)
 
     try:
         res = transform(trs)
@@ -322,7 +322,10 @@ def test_tables_of_non_left_linear_systems_enumerate_two_variables():
     assert inner.loop.start == term("g(f(x, y))")
     one_var = dc_table(trs, 6, INNER, 1_000, max_vars=1)
     assert one_var.loop.start == term("g(f(x, a))")
-    assert dc_table(trs, 6, FULL, 1_000).loop.start == term("g(f(x, x))")
+    full = dc_table(trs, 6, FULL, 1_000)
+    assert full.loop.start == term("g(f(x, x))")
+    for table in (inner, one_var, full):
+        reference.assert_loop_replays(trs, table.loop, table.strategy)
 
 
 #: Budget of each reference height and fuel of the tables below: a start
@@ -351,14 +354,6 @@ def _assert_table_equals_the_reference(table_to, want):
     return table
 
 
-def _assert_loop_is_replayed(trs, loop, kind):
-    cur = loop.start
-    for step in loop.trace:
-        assert step in reference.steps(trs, cur, kind)
-        cur = step.result
-    assert loop.trace and cur == loop.start
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(strategies.first_order_systems(), strategies.applicative_systems()))
 def test_dc_tables_equal_the_reference_on_random_systems(trs):
@@ -375,7 +370,7 @@ def test_dc_tables_equal_the_reference_on_random_systems(trs):
             reference.dc_rows(trs.signature, _MAX_SIZE, height_of),
         )
         if table is not None and table.loop is not None:
-            _assert_loop_is_replayed(trs, table.loop, kind)
+            reference.assert_loop_replays(trs, table.loop, kind)
 
 
 @settings(max_examples=100, deadline=None)
@@ -396,5 +391,5 @@ def test_relative_tables_equal_the_reference_on_random_pairs(pair):
     )
     if table is not None and table.loop is not None:
         combined = RelativeHeightSearch(main, modulo, _BUDGET).combined
-        _assert_loop_is_replayed(combined, table.loop, FULL)
+        reference.assert_loop_replays(combined, table.loop, FULL)
         assert any(step.rule_index < len(main.rules) for step in table.loop.trace)

@@ -69,13 +69,13 @@ def test_empty_system_reports_are_vacuous():
 
 def test_report_flags():
     x = Var("x")
-    bad = VerificationReport("p", 3, failures=(Failure((x,), "a", "b"),))
+    bad = VerificationReport("p", "a", "b", 3, failures=(Failure((x,)),))
     assert bad.status == "refuted" and not bad.vacuous
-    undecided = VerificationReport("p", 3, exhausted=((x,),))
+    undecided = VerificationReport("p", "a", "b", 3, exhausted=((x,),))
     assert undecided.status == "undecided"
     assert undecided.exhausted
-    assert VerificationReport("p", 0).status == "vacuous"
-    assert VerificationReport("p", 3).status == "ok"
+    assert VerificationReport("p", "a", "b", 0).status == "vacuous"
+    assert VerificationReport("p", "a", "b", 3).status == "ok"
 
 
 @settings(max_examples=60, deadline=None)

@@ -49,17 +49,6 @@ def term_in(trs, text):
     return parse_term(text, frozenset(), arities)
 
 
-def replay(trs, witness, kind=FULL):
-    """Check that a loop witness is a real cycle: every step result follows
-    from its predecessor under the strategy and the last one closes it."""
-    assert witness.trace
-    cur = witness.start
-    for st in witness.trace:
-        assert st.result in successors(trs, cur, kind)
-        cur = st.result
-    assert cur == witness.start
-
-
 def test_root_step_reports_position_rule_and_result():
     trs = trs_of("(VAR x) (RULES f @ x -> x  a -> b)")
     steps = redexes(trs, term_in(trs, "f @ b"), FULL)
@@ -151,6 +140,7 @@ def test_heights_and_closures_equal_the_reference_on_random_systems(trs):
                 got = search.height(t, _BUDGET)
                 if want is None:
                     assert isinstance(got, LoopDetected), (t, kind)
+                    reference.assert_loop_replays(trs, got, kind)
                 else:
                     assert got == Finished(want), (t, kind)
             try:
@@ -223,8 +213,8 @@ def test_normalize_detects_cycles():
     t = term_in(trs, "f @ a")
     out = normalize(trs, t, FULL, 50)
     assert isinstance(out, LoopDetected)
-    assert out.witness.start == t
-    replay(trs, out.witness)
+    assert out.start == t
+    reference.assert_loop_replays(trs, out, FULL)
     # innermost evaluation escapes: the reducible head blocks the root rule
     assert normalize(trs, t, INNER, 50) == Finished(term_in(trs, "g @ a"))
 
@@ -274,7 +264,7 @@ def test_derivation_height_loop_witness_replays():
     t = term_in(trs, "f#1(a)")
     out = derivation_height(trs, t, FULL, 1000)
     assert isinstance(out, LoopDetected)
-    replay(trs, out.witness)
+    reference.assert_loop_replays(trs, out, FULL)
 
 
 def test_derivation_height_fuel():
@@ -415,8 +405,8 @@ def test_relative_height_loop_witness_mixes_both_systems():
     search = RelativeHeightSearch(main, modulo, 1000)
     out = search.height(term_in(main, "f @ a"), 1000)
     assert isinstance(out, LoopDetected)
-    replay(search.combined, out.witness)
-    used = {st.rule_index for st in out.witness.trace}
+    reference.assert_loop_replays(search.combined, out, FULL)
+    used = {st.rule_index for st in out.trace}
     assert any(i < len(main.rules) for i in used)
 
 
@@ -429,8 +419,8 @@ def test_relative_loop_witness_is_never_empty():
     search = RelativeHeightSearch(main, modulo, 93)
     out = search.height(term_in(search.combined, "c0 @ e0"), 100_000)
     assert isinstance(out, LoopDetected)
-    replay(search.combined, out.witness)
-    assert any(st.rule_index < len(main.rules) for st in out.witness.trace)
+    reference.assert_loop_replays(search.combined, out, FULL)
+    assert any(st.rule_index < len(main.rules) for st in out.trace)
 
 
 def test_relative_height_fuel_exhaustion_from_the_closure():
@@ -453,7 +443,7 @@ def test_innermost_nontermination_detector():
     looping = transform(samples.system("head_loop")).combined
     outcome = detect_innermost_nontermination(looping, 4, 500)
     assert isinstance(outcome, LoopDetected)
-    replay(looping, outcome.witness, INNER)
+    reference.assert_loop_replays(looping, outcome, INNER)
 
     # a left-linear system's start terms have at most one variable, and
     # above size 1 none of them is a normal form
@@ -540,8 +530,8 @@ def test_the_loop_search_enumerates_one_variable_exactly_on_left_linear_systems(
     for max_vars, start in ((2, "h @ (eq @ x @ y)"), (1, "h @ (eq @ x @ eq)")):
         out = detect_innermost_nontermination(eq_loop, 7, 100, max_vars)
         assert isinstance(out, LoopDetected)
-        assert format_term(out.witness.start) == start
-        replay(eq_loop, out.witness, INNER)
+        assert format_term(out.start) == start
+        reference.assert_loop_replays(eq_loop, out, INNER)
 
 
 @settings(max_examples=60, deadline=None)
@@ -570,11 +560,7 @@ def test_innermost_loop_search_equals_the_reference_on_random_systems(trs):
             break
     got = detect_innermost_nontermination(trs, 4, _BUDGET)
     if isinstance(got, LoopDetected):
-        cur = got.witness.start
-        for step in got.witness.trace:
-            assert step in reference.steps(trs, cur, INNER)
-            cur = step.result
-        assert got.witness.trace and cur == got.witness.start
+        reference.assert_loop_replays(trs, got, INNER)
     if looping:
         assert isinstance(got, LoopDetected)
     elif not undecided:
