@@ -167,17 +167,22 @@ class DcRow:
 class ComplexityTable:
     """dc values per size bound, with the reason the table stopped, if any.
 
-    rows[n] is exact over all enumerated terms of size <= n.  incomplete_at
-    names the first size whose row could not be completed; loop is the
-    search's LoopDetected when the reason was a reachable cycle, and
-    fuel_exhausted_on names the starting term when the reason was fuel.
+    rows[n] is exact over all enumerated terms of size <= n, for n from 1
+    up.  loop is the search's LoopDetected when a reachable cycle stopped
+    the table, and fuel_exhausted_on names the starting term when fuel did.
     """
 
     strategy: StrategyKind
     rows: dict[int, DcRow] = field(default_factory=dict)
-    incomplete_at: int | None = None
     loop: LoopDetected | None = None
     fuel_exhausted_on: Term | None = None
+
+    @property
+    def incomplete_at(self) -> int | None:
+        """The size whose row the table stopped on, or None if it did not."""
+        if self.loop is None and self.fuel_exhausted_on is None:
+            return None
+        return len(self.rows) + 1
 
 
 def _start_terms(trs: Trs, max_vars: int) -> _Enumeration:
@@ -213,11 +218,9 @@ def _fill_table(
                     best = outcome.value
                     witness = t
             elif isinstance(outcome, LoopDetected):
-                table.incomplete_at = n
                 table.loop = outcome
                 return table
             else:
-                table.incomplete_at = n
                 table.fuel_exhausted_on = t
                 return table
         table.rows[n] = DcRow(best, witness)

@@ -6,16 +6,18 @@ system's candidates for it (Trs.candidates, the rule index), in rule order.
 redexes builds step records, with position and rule, only for loop
 witnesses.
 All searches are totalized by fuel: they finish, run out of fuel, or detect
-a loop and report it as one record, LoopDetected(start, trace), whose steps,
-each with position, rule and result, lead from start back to start.
+a loop and report it as one record, LoopDetected(trace), whose nonempty
+steps, each with position, rule and result, lead from the term the trace
+ends on back to it.
 
 HeightSearch is the one longest-path search.  It walks the one-step
 results of each term under a strategy; RelativeHeightSearch walks
-the relative successors of a main system modulo a second one instead, and
-only these successors and the loop witness differ between the two.
+the relative successors of a main system modulo a second one instead,
+computed from its modulo Closure, and only these successors and the loop
+witness differ between the two.
 
 Closure is the one reachability search.  It gives the memoized `->*` and
-`->+` sets behind relative_successors and the oracles, and its
+`->+` sets behind the relative successors and the oracles, and its
 fuel bounds each set it returns.
 """
 
@@ -71,10 +73,14 @@ class FuelExhausted:
 
 @dataclass(eq=True)
 class LoopDetected:
-    """A nonempty step sequence leading from start back to start."""
+    """A nonempty step sequence leading from start back to start, where
+    start is the result of its last step."""
 
-    start: Term
     trace: tuple[RewriteStep, ...]
+
+    @property
+    def start(self) -> Term:
+        return self.trace[-1].result
 
 
 #: Every bounded search returns one of these three.
@@ -226,26 +232,6 @@ class Closure:
         return out
 
 
-def relative_successors(main: Trs, closure: Closure, t: Term) -> list[Term]:
-    """All u with t ->modulo* . ->main . ->modulo* u in term_sort_key order,
-    where closure is a full-rewriting Closure of the modulo system.
-
-    The pre-closure and every post-closure come from closure, so its fuel
-    bounds each of these sets, and one exceeding it raises
-    FuelExhaustedError.  An empty main system yields no successors even
-    though the relative relation is then empty by definition rather than by
-    search.
-    """
-    star = closure.star
-    post: set[Term] = set()
-    for a in star(t):
-        for u in _full_steps(main, a):
-            # post is closed under modulo steps, so a member adds nothing
-            if u not in post:
-                post |= star(u)
-    return sorted(post, key=term_sort_key)
-
-
 def normalize(trs: Trs, t: Term, kind: StrategyKind, fuel: int) -> FuelOutcome:
     """Repeatedly apply the first available step until a normal form.
 
@@ -265,7 +251,7 @@ def normalize(trs: Trs, t: Term, kind: StrategyKind, fuel: int) -> FuelOutcome:
         if t in seen_at:
             cycle = list(seen_at)[seen_at[t] :]
             trace = tuple(redexes(trs, a, kind)[0] for a in cycle)
-            return LoopDetected(t, trace)
+            return LoopDetected(trace)
         seen_at[t] = len(seen_at)
     if not steps(trs, t):
         return Finished(t)
@@ -313,11 +299,7 @@ class HeightSearch:
             return Finished(memo[t])
         new_nodes = 1
         try:
-            succ = self._successors(t)
-            if not succ:
-                memo[t] = 0
-                return Finished(0)
-            stack = [[t, succ, 0, 0]]
+            stack = [[t, self._successors(t), 0, 0]]
             on_stack = {t: 0}
             while stack:
                 frame = stack[-1]
@@ -331,7 +313,7 @@ class HeightSearch:
                             frame[3] = h + 1
                     elif u in on_stack:
                         cycle = [f[0] for f in stack[on_stack[u] :]]
-                        return LoopDetected(u, self._cycle_trace(cycle))
+                        return LoopDetected(self._cycle_trace(cycle))
                     else:
                         new_nodes += 1
                         if new_nodes > fuel:
@@ -367,12 +349,17 @@ def derivation_height(trs: Trs, t: Term, kind: StrategyKind, fuel: int) -> FuelO
 class RelativeHeightSearch(HeightSearch):
     """Height search counting main steps modulo a second system.
 
-    Successor edges are t => u iff t ->modulo* . ->main . ->modulo* u; the
-    height of t is the maximal number of main steps in any mixed derivation.
-    fuel bounds each modulo closure (see relative_successors); one modulo
-    Closure, built with the search, serves every term the search explores,
-    so fuel must be positive.  Loop witnesses are concrete full-step traces
-    in combined, the disjoint union of the two systems, main rules first.
+    Successor edges are t => u iff t ->modulo* . ->main . ->modulo* u, under
+    full rewriting, in term_sort_key order; the height of t is the maximal
+    number of main steps in any mixed derivation.  One modulo Closure,
+    built with the search, gives the pre-closure of t and every
+    post-closure and serves every term the search explores.  fuel bounds
+    each of these sets, so it must be positive, and one exceeding it raises
+    FuelExhaustedError, which height reports as FuelExhausted.  An empty
+    main system gives no successors, though the relative relation is then
+    empty by definition rather than by search.  Loop witnesses are concrete
+    full-step traces in combined, the disjoint union of the two systems,
+    main rules first.
     """
 
     def __init__(self, main: Trs, modulo: Trs, fuel: int):
@@ -385,7 +372,14 @@ class RelativeHeightSearch(HeightSearch):
         super().__init__(self.combined, StrategyKind.FULL)
 
     def _successors(self, t: Term) -> Sequence[Term]:
-        return relative_successors(self.main, self.closure, t)
+        star, main = self.closure.star, self.main
+        post: set[Term] = set()
+        for a in star(t):
+            for u in _full_steps(main, a):
+                # post is closed under modulo steps, so a member adds nothing
+                if u not in post:
+                    post |= star(u)
+        return sorted(post, key=term_sort_key)
 
     def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:
         """A shortest combined trace from cycle[0] back to itself with at

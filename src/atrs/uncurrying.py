@@ -191,11 +191,9 @@ def eta_saturate(ctx: AtrsContext, trs: Trs) -> Trs:
         raise NotLeftHeadVariableFreeError("left-hand sides must not apply variables")
     out = list(trs.rules)
     seen = {canonical_rule(r) for r in out}
-    queue = list(trs.rules)
-    while queue:
-        rule = queue.pop(0)
-        k = applicative_arity_of_term(ctx, rule.lhs)
-        if not k:
+    # out grows while it is walked, so each derived rule is derived from too
+    for rule in out:
+        if not applicative_arity_of_term(ctx, rule.lhs):
             continue
         used = set(variables(rule.lhs)) | set(variables(rule.rhs))
         i = 0
@@ -205,10 +203,10 @@ def eta_saturate(ctx: AtrsContext, trs: Trs) -> Trs:
         derived = Rule(
             Fun(ctx.app, (rule.lhs, x)), Fun(ctx.app, (rule.rhs, x))
         )
-        if canonical_rule(derived) not in seen:
-            seen.add(canonical_rule(derived))
+        key = canonical_rule(derived)
+        if key not in seen:
+            seen.add(key)
             out.append(derived)
-            queue.append(derived)
     return Trs(out, extra_signature=trs.signature)
 
 

@@ -259,12 +259,11 @@ def two_variable_table(search, kind, fuel, signature, max_size):
             if isinstance(outcome, Finished):
                 if witness is None or outcome.value > best:
                     best, witness = outcome.value, t
+            elif isinstance(outcome, LoopDetected):
+                table.loop = outcome
+                return table
             else:
-                table.incomplete_at = n
-                if isinstance(outcome, LoopDetected):
-                    table.loop = outcome
-                else:
-                    table.fuel_exhausted_on = t
+                table.fuel_exhausted_on = t
                 return table
         table.rows[n] = DcRow(best, witness)
     return table

@@ -5,7 +5,7 @@ import pytest
 import reference
 import samples
 import strategies
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atrs import complexity
@@ -27,7 +27,6 @@ from atrs.rewriting import (
     is_normal_form_fast,
     normalize,
     redexes,
-    relative_successors,
     RelativeHeightSearch,
     strategy_search,
     successors,
@@ -363,11 +362,11 @@ def test_relative_successors_wrap_one_main_step():
     main = trs_of("(RULES a -> b)")
     modulo = trs_of("(RULES f -> g)")
     t = term_in(main, "f @ a")
-    got = relative_successors(main, Closure(modulo, FULL, 100), t)
+    got = RelativeHeightSearch(main, modulo, 100)._successors(t)
     want = {term_in(main, "f @ b"), term_in(main, "g @ b")}
     assert set(got) == want
     assert got == sorted(got, key=term_sort_key)
-    assert relative_successors(trs_of("(RULES )"), Closure(modulo, FULL, 100), t) == []
+    assert RelativeHeightSearch(trs_of("(RULES )"), modulo, 100)._successors(t) == []
 
 
 def test_relative_fuel_bounds_each_modulo_closure():
@@ -375,10 +374,32 @@ def test_relative_fuel_bounds_each_modulo_closure():
     # hold two terms each, so fuel 2 suffices though their union holds four
     main = trs_of("(RULES a -> b)")
     modulo = trs_of("(RULES f -> g)")
-    got = relative_successors(main, Closure(modulo, FULL, 2), term_in(main, "f @ a"))
+    got = RelativeHeightSearch(main, modulo, 2)._successors(term_in(main, "f @ a"))
     assert got == [term_in(main, "f @ b"), term_in(main, "g @ b")]
     with pytest.raises(FuelExhaustedError):
-        relative_successors(main, Closure(modulo, FULL, 1), term_in(main, "f @ a"))
+        RelativeHeightSearch(main, modulo, 1)._successors(term_in(main, "f @ a"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.system_pairs())
+@example((trs_of("(VAR x) (RULES a @ x -> b @ x)"), trs_of("(RULES b -> c  c -> b)")))
+@example((trs_of("(RULES a -> b)"), trs_of("(VAR x) (RULES b @ x -> b @ (b @ x))")))
+def test_relative_successors_equal_the_reference_on_random_pairs(pair):
+    """One search serves every term, as in a relative table, so its modulo
+    closure's memo carries over.  Drawn modulo systems may loop, finitely
+    (the first example) or without end (the second); a term on which the
+    search or the reference runs out of fuel is skipped."""
+    main, modulo = pair
+    search = RelativeHeightSearch(main, modulo, _BUDGET)
+    for n in range(1, 4):
+        for t in reference.terms_of_size(main.signature | modulo.signature, n, 2):
+            try:
+                want = reference.relative_successors(
+                    main, modulo, t, reference.Budget(_BUDGET))
+                got = search._successors(t)
+            except (reference.BudgetExceeded, FuelExhaustedError):
+                continue
+            assert got == want, t
 
 
 def test_relative_height_counts_main_steps_only():
