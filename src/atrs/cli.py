@@ -222,7 +222,7 @@ def _table_output(args, table: ComplexityTable) -> int:
     data_rows = []
     for n in sorted(table.rows):
         row = table.rows[n]
-        witness = format_term(row.witness) if row.witness is not None else "-"
+        witness = format_term(row.witness)
         lines.append(f"dc({n}) = {row.value}   witness: {witness}")
         data_rows.append({"n": n, "value": row.value, "witness": witness})
     data: dict = {"strategy": table.strategy.value, "rows": data_rows}
@@ -240,7 +240,6 @@ def _table_output(args, table: ComplexityTable) -> int:
         data["incomplete_at"] = table.incomplete_at
         return _emit(args, "fuel-exhausted", data, lines)
     if not table.rows:
-        # only a size bound below 1 leaves a complete table without rows
         lines.append("vacuous: no sizes tabled")
         return _emit(args, "vacuous", data, lines)
     return _emit(args, "ok", data, lines)

@@ -40,7 +40,10 @@ class _Enumeration:
     distinct variables and, in parallel lists, the count of distinct
     variables after each and each term's state; it is built when a larger
     term first asks for it as an argument.  Three lists take far less
-    memory than one list of triples.
+    memory than one list of triples.  A list is keyed on used clamped
+    below max_vars: with every variable in use none is new, so the terms,
+    their order and states are those with one fewer in use, and only the
+    next _listed, which clamps too, reads the after counts.
 
     A term's state comes from a bottom-up tree automaton (Comon et al.,
     Tree Automata Techniques and Applications) over the linearised
@@ -48,8 +51,8 @@ class _Enumeration:
     patterns it matches, or -1, "maybe reducible", when an argument is or
     a linearised left-hand side matches at the root.  Linearising only
     widens matching, so a state >= 0 proves the term normal in every system
-    whose left-hand sides are in lhss.  stream(..., cut=True) never builds
-    the terms so proved; starts is the one caller that cuts."""
+    whose left-hand sides are in lhss.  stream(..., cut=True) builds no
+    term so proved above size 1; starts is the one caller that cuts."""
 
     def __init__(self, signature: Iterable[Symbol], max_vars: int,
                  lhss: Iterable[Term] = ()):
@@ -83,27 +86,25 @@ class _Enumeration:
         return -1 if out & self.reducible else out
 
     def stream(self, size: int, used: int = 0, cut: bool = False) -> _Stream:
-        if size == 1 and not cut:
+        if size == 1:
             for i in range(used):
                 yield Var(canonical_var_name(i)), used, 0
             if used < self.max_vars:
                 yield Var(canonical_var_name(used)), used + 1, 0
         for f in self.symbols:
-            if f.arity == 0:
-                if size == 1:
-                    state = self._state(f, ())
-                    if not cut or state < 0:
-                        yield Fun(f), used, state
-            elif size > f.arity:
+            if size == 1 and f.arity == 0:
+                yield Fun(f), used, self._state(f, ())
+            elif 0 < f.arity < size:
                 yield from self._apply(f, (), (), size - 1, f.arity, used, cut)
 
     def starts(self, size: int) -> Iterator[Term]:
         """Every term of size 1 and, above it, the terms the automaton
         cannot prove normal.  Every term has a leaf, so a search gets no
         start term only when no term exists."""
-        return (t for t, _, _ in self.stream(size, cut=size > 1))
+        return (t for t, _, _ in self.stream(size, cut=True))
 
     def _listed(self, size: int, used: int) -> _Stream:
+        used = min(used, max(self.max_vars - 1, 0))
         out = self.lists.get((size, used))
         if out is None:
             terms, after, states = [], [], []
@@ -157,10 +158,10 @@ def enumerate_terms(
 
 @dataclass(frozen=True)
 class DcRow:
-    """One table row: the complexity value and a term attaining it."""
+    """One table row: the complexity value and a start term attaining it."""
 
     value: int
-    witness: Term | None
+    witness: Term
 
 
 @dataclass
@@ -168,8 +169,9 @@ class ComplexityTable:
     """dc values per size bound, with the reason the table stopped, if any.
 
     rows[n] is exact over all enumerated terms of size <= n, for n from 1
-    up.  loop is the search's LoopDetected when a reachable cycle stopped
-    the table, and fuel_exhausted_on names the starting term when fuel did.
+    up, with a start term as witness, so a space with no term has no rows.
+    loop is the search's LoopDetected when a reachable cycle stopped the
+    table, and fuel_exhausted_on names the starting term when fuel did.
     """
 
     strategy: StrategyKind
@@ -208,22 +210,22 @@ def _fill_table(
     # when both systems are
     enumeration = _start_terms(search.trs, max_vars)
     table = ComplexityTable(strategy=search.kind)
-    best = 0
-    witness: Term | None = None
+    row: DcRow | None = None
     for n in range(1, max_size + 1):
         for t in enumeration.starts(n):
             outcome = search.height(t, fuel)
             if isinstance(outcome, Finished):
-                if witness is None or outcome.value > best:
-                    best = outcome.value
-                    witness = t
+                if row is None or outcome.value > row.value:
+                    row = DcRow(outcome.value, t)
             elif isinstance(outcome, LoopDetected):
                 table.loop = outcome
                 return table
             else:
                 table.fuel_exhausted_on = t
                 return table
-        table.rows[n] = DcRow(best, witness)
+        if row is None:  # every term has a leaf: none of size 1, none at all
+            break
+        table.rows[n] = row
     return table
 
 

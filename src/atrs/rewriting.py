@@ -358,18 +358,16 @@ class RelativeHeightSearch(HeightSearch):
     FuelExhaustedError, which height reports as FuelExhausted.  An empty
     main system gives no successors, though the relative relation is then
     empty by definition rather than by search.  Loop witnesses are concrete
-    full-step traces in combined, the disjoint union of the two systems,
-    main rules first.
+    full-step traces in trs, the disjoint union of the two systems, main
+    rules first.
     """
 
     def __init__(self, main: Trs, modulo: Trs, fuel: int):
         self.main = main
         self.closure = Closure(modulo, StrategyKind.FULL, fuel)
-        self.combined = Trs(
-            main.rules + modulo.rules,
-            extra_signature=main.signature | modulo.signature,
-        )
-        super().__init__(self.combined, StrategyKind.FULL)
+        combined = Trs(main.rules + modulo.rules,
+                       extra_signature=main.signature | modulo.signature)
+        super().__init__(combined, StrategyKind.FULL)
 
     def _successors(self, t: Term) -> Sequence[Term]:
         star, main = self.closure.star, self.main
@@ -392,7 +390,7 @@ class RelativeHeightSearch(HeightSearch):
         frontier = deque([root])
         while frontier:
             key = frontier.popleft()
-            for st in redexes(self.combined, key[0], StrategyKind.FULL):
+            for st in redexes(self.trs, key[0], StrategyKind.FULL):
                 counted = key[1] or st.rule_index < n_main
                 if st.result == start and counted:
                     trace = [st]

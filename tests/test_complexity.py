@@ -15,6 +15,7 @@ from atrs.complexity import (
     _Enumeration,
     dc_relative_table,
     dc_table,
+    detect_innermost_nontermination,
     enumerate_terms,
     terms_of_size,
 )
@@ -111,7 +112,7 @@ def test_enumeration_matches_brute_force_reference():
 @settings(max_examples=60, deadline=None)
 @given(
     st.one_of(strategies.first_order_systems(), strategies.applicative_systems()),
-    st.sampled_from([0, 1, 2]),
+    st.sampled_from([0, 1, 2, 3]),
 )
 def test_enumeration_equals_the_recursive_reference_in_order(trs, max_vars):
     signature = trs.signature
@@ -121,6 +122,10 @@ def test_enumeration_equals_the_recursive_reference_in_order(trs, max_vars):
         assert list(terms_of_size(signature, n, max_vars)) == row, n
         want += row
     assert enumerate_terms(signature, 6, max_vars) == want
+    # every list is keyed below max_vars, where one variable is still new
+    enumeration = _Enumeration(signature, max_vars)
+    assert [t for n in range(7) for t, _, _ in enumeration.stream(n)] == want
+    assert all(used < max(max_vars, 1) for _, used in enumeration.lists)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,8 +133,9 @@ def test_enumeration_equals_the_recursive_reference_in_order(trs, max_vars):
 def test_terms_proved_normal_are_normal_forms(pair):
     """A term that the state automaton over both systems' left-hand sides
     proves normal is a normal form of both; when both are left-linear, so
-    is every normal form; and the cut stream drops exactly those terms.
-    The reference-table properties below check the tables the cut serves."""
+    is every normal form; and the cut stream drops exactly those terms
+    above size 1, where it is the whole row.  The reference-table
+    properties below check the tables the cut serves."""
     main, modulo = pair
     exact = is_left_linear(main) and is_left_linear(modulo)
     lhss = [rule.lhs for rule in main.rules + modulo.rules]
@@ -142,7 +148,7 @@ def test_terms_proved_normal_are_normal_forms(pair):
             )
             assert normal if state >= 0 else not (exact and normal), t
         cut = [t for t, _, _ in enumeration.stream(n, cut=True)]
-        assert cut == [t for t, _, state in listed if state < 0]
+        assert cut == [t for t, _, state in listed if n == 1 or state < 0]
 
 
 def test_enumeration_has_no_renaming_duplicates():
@@ -222,6 +228,17 @@ def test_dc_table_stops_when_fuel_runs_out():
     assert table.loop is None
     assert table.fuel_exhausted_on == Fun(Symbol("c", 0))
     assert table.rows == {}
+
+
+def test_searches_agree_on_a_space_with_no_start_term():
+    # no constant and no variable: no term of size 1, so none at all
+    trs = trs_of("(VAR x) (RULES f(g(h(x))) -> x)")
+    for kind in StrategyKind:
+        table = dc_table(trs, 4, kind, 100, max_vars=0)
+        assert (table.rows, table.incomplete_at) == ({}, None)
+    table = dc_relative_table(trs_of("(RULES )"), trs, 4, 100, max_vars=0)
+    assert (table.rows, table.incomplete_at) == ({}, None)
+    assert detect_innermost_nontermination(trs, 4, 100, max_vars=0) == Finished(0)
 
 
 def test_relative_table_matches_fresh_searches():
@@ -389,6 +406,6 @@ def test_relative_tables_equal_the_reference_on_random_pairs(pair):
         reference.dc_rows(main.signature | modulo.signature, _MAX_SIZE, height_of),
     )
     if table is not None and table.loop is not None:
-        combined = RelativeHeightSearch(main, modulo, _BUDGET).combined
+        combined = RelativeHeightSearch(main, modulo, _BUDGET).trs
         reference.assert_loop_replays(combined, table.loop, FULL)
         assert any(step.rule_index < len(main.rules) for step in table.loop.trace)

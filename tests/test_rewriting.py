@@ -426,7 +426,7 @@ def test_relative_height_loop_witness_mixes_both_systems():
     search = RelativeHeightSearch(main, modulo, 1000)
     out = search.height(term_in(main, "f @ a"), 1000)
     assert isinstance(out, LoopDetected)
-    reference.assert_loop_replays(search.combined, out, FULL)
+    reference.assert_loop_replays(search.trs, out, FULL)
     used = {st.rule_index for st in out.trace}
     assert any(i < len(main.rules) for i in used)
 
@@ -438,9 +438,9 @@ def test_relative_loop_witness_is_never_empty():
     main = trs_of("(RULES %s)" % " ".join(f"c{i} -> c{(i + 1) % n}" for i in range(n)))
     modulo = trs_of("(RULES %s)" % " ".join(f"e{i} -> e{i + 1}" for i in range(n)))
     search = RelativeHeightSearch(main, modulo, 93)
-    out = search.height(term_in(search.combined, "c0 @ e0"), 100_000)
+    out = search.height(term_in(search.trs, "c0 @ e0"), 100_000)
     assert isinstance(out, LoopDetected)
-    reference.assert_loop_replays(search.combined, out, FULL)
+    reference.assert_loop_replays(search.trs, out, FULL)
     assert any(st.rule_index < len(main.rules) for st in out.trace)
 
 
