@@ -64,12 +64,16 @@ TERMS = {
     "tests/golden/inputs/applied_variable.trs": ("f @ (g @ a)", "x @ (y @ z)", "a"),
     "tests/golden/inputs/b_to_a.trs": ("b", "c(b, b)", "a"),
     "tests/golden/inputs/b_to_ca.trs": ("b", "c(b)", "d(b, b)"),
+    "tests/golden/inputs/comment.trs": ("f @ (f @ a)", "f @ x", "f"),
+    "tests/golden/inputs/constants_only.trs": ("a", "b"),
     "tests/golden/inputs/double_uncurried.trs": (
         "f#1(s#1(s#1(0)))", "f @ (s @ (s @ 0))", "f#1(f#1(s#1(x)))"),
     "tests/golden/inputs/dup.trs": ("d(d(a))", "d(p(a, a))", "d(x)"),
     "tests/golden/inputs/eq_loop.trs": (
         "eq @ a @ a", "h @ (eq @ a @ b)", "h @ (eq @ x @ x)"),
+    "tests/golden/inputs/eta_name.trs": ("f @ a @ a", "f @ a @ b", "g @ (f @ x)"),
     "tests/golden/inputs/fgh_redex.trs": ("f(g(h(x)))", "g(f(g(h(x))))", "h(x)"),
+    "tests/golden/inputs/fresh_clash.trs": ("f @ a", "f#1"),
     "tests/golden/inputs/id_uncurried.trs": ("f#1(0)", "id#2(f, 0)", "id @ (id @ 0)"),
     "tests/golden/inputs/loop_uncurried.trs": ("f#1(g)", "f @ g", "f"),
     "tests/golden/inputs/no_rules.trs": ("a", "f(x)"),
@@ -78,6 +82,10 @@ TERMS = {
     "tests/golden/inputs/syntax_error.trs": ("f @ x",),
     "tests/golden/inputs/two_binaries.trs": (
         "f @ a @ b", "f @ (f @ a @ b) @ x", "pair(a, b)"),
+    "tests/golden/inputs/unbound_rhs.trs": ("f @ x",),
+    "tests/golden/inputs/unknown_section.trs": ("f @ x",),
+    "tests/golden/inputs/unterminated_comment.trs": ("f @ x",),
+    "tests/golden/inputs/var_after_rules.trs": ("f @ a",),
 }
 
 #: Runs the command lines read as JSON from stdin with the atrs on
