@@ -142,8 +142,7 @@ def _term_argument(problem: InputProblem, text: str) -> Term:
     return parse_term(text, problem.declared_vars, arities)
 
 
-def _cmd_uncurry(args) -> int:
-    problem = _load_problem(args.file)
+def _cmd_uncurry(args, problem: InputProblem) -> int:
     result = transform(problem.trs)
     ctx = result.context
     named = {
@@ -171,8 +170,7 @@ def _cmd_uncurry(args) -> int:
     return _emit(args, "ok", data, lines)
 
 
-def _cmd_rewrite(args) -> int:
-    problem = _load_problem(args.file)
+def _cmd_rewrite(args, problem: InputProblem) -> int:
     trs = problem.trs
     kind = _STRATEGIES[args.strategy]
     t = _term_argument(problem, args.term)
@@ -201,8 +199,7 @@ def _cmd_rewrite(args) -> int:
     return _emit(args, "ok", {"successors": result}, result or ["normal form"])
 
 
-def _cmd_dh(args) -> int:
-    problem = _load_problem(args.file)
+def _cmd_dh(args, problem: InputProblem) -> int:
     kind = _STRATEGIES[args.strategy]
     t = _term_argument(problem, args.term)
     outcome = derivation_height(problem.trs, t, kind, args.fuel)
@@ -245,8 +242,7 @@ def _table_output(args, table: ComplexityTable) -> int:
     return _emit(args, "ok", data, lines)
 
 
-def _cmd_dc(args) -> int:
-    problem = _load_problem(args.file)
+def _cmd_dc(args, problem: InputProblem) -> int:
     kind = _STRATEGIES[args.strategy]
     if args.relative_to is not None:
         if kind is not StrategyKind.FULL:
@@ -260,8 +256,7 @@ def _cmd_dc(args) -> int:
     return _table_output(args, table)
 
 
-def _cmd_check_tmi(args) -> int:
-    problem = _load_problem(args.file)
+def _cmd_check_tmi(args, problem: InputProblem) -> int:
     interp = _parse_file(args.tmi, parse_tmi, problem.trs.signature)
     verdict = check_tmi(interp, problem.trs)
     if verdict.ok:
@@ -286,8 +281,7 @@ def _cmd_check_tmi(args) -> int:
     return _emit(args, "refuted", data, lines)
 
 
-def _cmd_search_tmi(args) -> int:
-    problem = _load_problem(args.file)
+def _cmd_search_tmi(args, problem: InputProblem) -> int:
     try:
         interp = search_tmi(problem.trs, args.dim, args.max_coeff, args.budget)
     except SearchBudgetExhausted as e:
@@ -333,8 +327,7 @@ def _report_output(args, report: VerificationReport) -> int:
     return _emit(args, report.status, data, lines)
 
 
-def _cmd_verify(args) -> int:
-    problem = _load_problem(args.file)
+def _cmd_verify(args, problem: InputProblem) -> int:
     trs = problem.trs
     if args.property == "innermost-loop":
         outcome = detect_innermost_nontermination(
@@ -438,7 +431,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, _load_problem(args.file))
     except (_UsageError, ValueError, OSError) as e:
         # ParseError, TransformError and InterpretationError are ValueErrors
         print(f"error: {e}", file=sys.stderr)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .complexity import enumerate_terms
 from .rewriting import (
     Closure,
-    FuelExhaustedError,
     StrategyKind,
     _ri_steps,
     is_normal_form_fast,
@@ -25,6 +24,8 @@ from .uncurrying import AtrsContext, transform, uncurry_nf, uncurrying_system
 
 # Closures of the uncurrying rules alone are small (the system is terminating
 # and size-decreasing in spine length); this cap only guards against bugs.
+# ri-sim reads these closures unchecked: a set past the cap is None, and
+# reading it fails as an internal error (exit 4).
 _U_FUEL = 1_000_000
 
 
@@ -86,20 +87,13 @@ def _report(name: str, expected: str, observed: str, verdicts) -> VerificationRe
         name, expected, observed, checked, tuple(failures), tuple(exhausted))
 
 
-def _within_fuel(search, t: Term) -> set[Term] | None:
-    """search(t), or None when it runs out of fuel."""
-    try:
-        return search(t)
-    except FuelExhaustedError:
-        return None
-
-
 def verify_uncurried_step(trs: Trs, max_size: int, fuel: int) -> VerificationReport:
     """Single full steps translate to nonempty uncurried derivations.
 
-    For every enumerated s and every step s -> t of the source system, the
-    uncurried forms must satisfy u(s) ->+ u(t) in the combined system.  One
-    search from u(s) serves all t, so its running out leaves each undecided.
+    For every enumerated s and each distinct one-step result t of s in the
+    source system, one instance, the uncurried forms must satisfy
+    u(s) ->+ u(t) in the combined system.  One search from u(s) serves all
+    t, so its running out leaves each undecided.
     """
     res = transform(trs)
     ctx = res.context
@@ -108,7 +102,7 @@ def verify_uncurried_step(trs: Trs, max_size: int, fuel: int) -> VerificationRep
     def verdicts():
         for s in enumerate_terms(trs.signature, max_size):
             targets = successors(trs, s, StrategyKind.FULL)
-            reached = _within_fuel(reach.plus, uncurry_nf(ctx, s)) if targets else ()
+            reached = reach.plus(uncurry_nf(ctx, s)) if targets else ()
             for t in targets:
                 yield (s, t), None if reached is None else uncurry_nf(ctx, t) in reached
 
@@ -136,7 +130,7 @@ def verify_rightmost_simulation(
             # every step counts, so results repeat as often as their steps do
             results = _ri_steps(trs, t)
             sources = sorted(u_reach.star(t), key=term_sort_key) if results else ()
-            reached = [_within_fuel(i_reach.plus, s) for s in sources]
+            reached = [i_reach.plus(s) for s in sources]
             for u in results:
                 targets = u_reach.star(u)
                 for s, plus in zip(sources, reached):
@@ -159,7 +153,7 @@ def verify_nf_preservation(trs: Trs, max_size: int, fuel: int) -> VerificationRe
     def verdicts():
         for s in enumerate_terms(trs.signature, max_size):
             if is_normal_form_fast(trs, s):
-                reducts = _within_fuel(u_reach.star, s)
+                reducts = u_reach.star(s)
                 if reducts is None:
                     yield (s,), None
                     continue
@@ -186,7 +180,7 @@ def verify_subterm_commutation(
 
     def verdicts():
         for s in enumerate_terms({ctx.app} | ctx.constants, max_size):
-            reducts = _within_fuel(u_reach.star, s)
+            reducts = u_reach.star(s)
             if reducts is None:
                 yield (s,), None
                 continue

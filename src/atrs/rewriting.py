@@ -18,7 +18,7 @@ witness differ between the two.
 
 Closure is the one reachability search.  It gives the memoized `->*` and
 `->+` sets behind the relative successors and the oracles, and its
-fuel bounds each set it returns.
+fuel bounds each set: past it, the set is None.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class LoopDetected:
 
 #: Every bounded search returns one of these three.
 FuelOutcome = Finished | FuelExhausted | LoopDetected
-
-
-class FuelExhaustedError(RuntimeError):
-    """Raised when a closure computation exceeds its fuel."""
 
 
 @lru_cache(maxsize=None)
@@ -188,8 +184,9 @@ class Closure:
     """Reflexive-transitive closure sets of trs under kind, memoized by
     start term.
 
-    Fuel bounds each closure set: star(t) raises FuelExhaustedError exactly
-    when more than fuel terms are reachable from t.  The returned sets are
+    Fuel bounds each closure set: star(t) is None exactly when more than
+    fuel terms are reachable from t, and then nothing is memoized for t;
+    plus(t) is None as soon as a star it unites is.  The returned sets are
     shared with the memo and must not be mutated.
     """
 
@@ -201,8 +198,8 @@ class Closure:
         self.fuel = fuel
         self.memo: dict[Term, set[Term]] = {}
 
-    def star(self, t: Term) -> set[Term]:
-        """Terms reachable from t in zero or more steps."""
+    def star(self, t: Term) -> set[Term] | None:
+        """Terms reachable from t in zero or more steps, or None past fuel."""
         memo = self.memo
         out = memo.get(t)
         if out is not None:
@@ -220,15 +217,17 @@ class Closure:
                     else:
                         out |= done
             if len(out) > fuel:
-                raise FuelExhaustedError(f"closure from {t!r} exceeded {fuel} terms")
+                return None
         memo[t] = out
         return out
 
-    def plus(self, t: Term) -> set[Term]:
-        """Terms reachable from t in one or more steps."""
+    def plus(self, t: Term) -> set[Term] | None:
+        """Terms reachable from t in one or more steps, or None past fuel."""
         out: set[Term] = set()
         for u in _TABLES[self.kind](self.trs, t):
-            out |= self.star(u)
+            if (reached := self.star(u)) is None:
+                return None
+            out |= reached
         return out
 
 
@@ -267,7 +266,8 @@ class HeightSearch:
     the time it is reached again.  height() may be called for many start
     terms and reuses everything already explored.  Fuel counts terms newly
     explored by one call; memoized subgraphs are free.  Subclasses change
-    the graph by overriding _successors and _cycle_trace.
+    the graph by overriding _successors and _cycle_trace; a _successors of
+    None stops the call with FuelExhausted.
     """
 
     def __init__(self, trs: Trs, kind: StrategyKind):
@@ -276,7 +276,7 @@ class HeightSearch:
         self.memo: dict[Term, int] = {}
         self._steps = _TABLES[kind]
 
-    def _successors(self, t: Term) -> Sequence[Term]:
+    def _successors(self, t: Term) -> Sequence[Term] | None:
         return self._steps(self.trs, t)
 
     def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:
@@ -298,36 +298,35 @@ class HeightSearch:
         if t in memo:
             return Finished(memo[t])
         new_nodes = 1
-        try:
-            stack = [[t, self._successors(t), 0, 0]]
-            on_stack = {t: 0}
-            while stack:
-                frame = stack[-1]
-                succ = frame[1]
-                if frame[2] < len(succ):
-                    u = succ[frame[2]]
-                    frame[2] += 1
-                    h = memo.get(u)
-                    if h is not None:
-                        if h + 1 > frame[3]:
-                            frame[3] = h + 1
-                    elif u in on_stack:
-                        cycle = [f[0] for f in stack[on_stack[u] :]]
-                        return LoopDetected(self._cycle_trace(cycle))
-                    else:
-                        new_nodes += 1
-                        if new_nodes > fuel:
-                            return FuelExhausted()
-                        on_stack[u] = len(stack)
-                        stack.append([u, self._successors(u), 0, 0])
-                else:
-                    stack.pop()
-                    del on_stack[frame[0]]
-                    memo[frame[0]] = frame[3]
-                    if stack and frame[3] + 1 > stack[-1][3]:
-                        stack[-1][3] = frame[3] + 1
-        except FuelExhaustedError:
+        if (succ := self._successors(t)) is None:
             return FuelExhausted()
+        stack = [[t, succ, 0, 0]]
+        on_stack = {t: 0}
+        while stack:
+            frame = stack[-1]
+            succ = frame[1]
+            if frame[2] < len(succ):
+                u = succ[frame[2]]
+                frame[2] += 1
+                h = memo.get(u)
+                if h is not None:
+                    if h + 1 > frame[3]:
+                        frame[3] = h + 1
+                elif u in on_stack:
+                    cycle = [f[0] for f in stack[on_stack[u] :]]
+                    return LoopDetected(self._cycle_trace(cycle))
+                else:
+                    new_nodes += 1
+                    if new_nodes > fuel or (succ := self._successors(u)) is None:
+                        return FuelExhausted()
+                    on_stack[u] = len(stack)
+                    stack.append([u, succ, 0, 0])
+            else:
+                stack.pop()
+                del on_stack[frame[0]]
+                memo[frame[0]] = frame[3]
+                if stack and frame[3] + 1 > stack[-1][3]:
+                    stack[-1][3] = frame[3] + 1
         return Finished(memo[t])
 
 
@@ -354,8 +353,8 @@ class RelativeHeightSearch(HeightSearch):
     number of main steps in any mixed derivation.  One modulo Closure,
     built with the search, gives the pre-closure of t and every
     post-closure and serves every term the search explores.  fuel bounds
-    each of these sets, so it must be positive, and one exceeding it raises
-    FuelExhaustedError, which height reports as FuelExhausted.  An empty
+    each of these sets, so it must be positive; past it a set is None, so
+    are the successors, and height reports FuelExhausted.  An empty
     main system gives no successors, though the relative relation is then
     empty by definition rather than by search.  Loop witnesses are concrete
     full-step traces in trs, the disjoint union of the two systems, main
@@ -369,14 +368,18 @@ class RelativeHeightSearch(HeightSearch):
                        extra_signature=main.signature | modulo.signature)
         super().__init__(combined, StrategyKind.FULL)
 
-    def _successors(self, t: Term) -> Sequence[Term]:
+    def _successors(self, t: Term) -> Sequence[Term] | None:
         star, main = self.closure.star, self.main
+        if (pre := star(t)) is None:
+            return None
         post: set[Term] = set()
-        for a in star(t):
+        for a in pre:
             for u in _full_steps(main, a):
                 # post is closed under modulo steps, so a member adds nothing
                 if u not in post:
-                    post |= star(u)
+                    if (reached := star(u)) is None:
+                        return None
+                    post |= reached
         return sorted(post, key=term_sort_key)
 
     def _cycle_trace(self, cycle: list[Term]) -> tuple[RewriteStep, ...]:

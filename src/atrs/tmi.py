@@ -303,8 +303,6 @@ def _times(a: _Value, b: _Value) -> _Value:
         return b
     if b == 1:
         return a
-    if type(a) is int and type(b) is int:
-        return a * b
     return f"{a}*{b}"
 
 
