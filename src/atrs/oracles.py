@@ -24,8 +24,9 @@ from .uncurrying import AtrsContext, transform, uncurry_nf, uncurrying_system
 
 # Closures of the uncurrying rules alone are small (the system is terminating
 # and size-decreasing in spine length); this cap only guards against bugs.
-# ri-sim reads these closures unchecked: a set past the cap is None, and
-# reading it fails as an internal error (exit 4).
+# ri-sim reads these closures unchecked: overflowing the cap takes more than
+# 1,000,000 uncurrying reducts of one enumerated term, and would end as an
+# internal error (exit 4).
 _U_FUEL = 1_000_000
 
 
@@ -90,8 +91,8 @@ def _report(name: str, expected: str, observed: str, verdicts) -> VerificationRe
 def verify_uncurried_step(trs: Trs, max_size: int, fuel: int) -> VerificationReport:
     """Single full steps translate to nonempty uncurried derivations.
 
-    For every enumerated s and each distinct one-step result t of s in the
-    source system, one instance, the uncurried forms must satisfy
+    For every enumerated s, each distinct one-step result t of s in the
+    source system is one instance: the uncurried forms must satisfy
     u(s) ->+ u(t) in the combined system.  One search from u(s) serves all
     t, so its running out leaves each undecided.
     """
